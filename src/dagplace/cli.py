@@ -21,13 +21,14 @@ File formats (all JSON, unknown fields rejected):
                  "placements": int, "p": int, "master_seed": int} plus the
                  optional knobs of ExperimentConfig.
 
-Solver state files are pickles of a versioned dict carrying the network, the
-computation graph, the name tables and the per-layer DP tables, so ``perturb``
-is self-contained.  Table keys are assignment tuples listing the image of each
-vertex of the indexed layer in increasing vertex-id order; ``h[l-1]`` maps
-layer-(l+1) tuples to the best cost through layer l and ``x[l-1]`` to the
-layer-l tuple attaining it.  Exit codes: 0 ok, 2 validation error, 3 budget
-exceeded, 4 solver precondition failure.
+Solver state files are pickles of a versioned dict (format 2) carrying the
+network, the computation graph, the name tables and the ``LayeredDPState`` of
+the layered solve, so ``perturb`` is self-contained.  The state's ``h[i]`` is
+the (min, argmin) message that bag i of the layered path decomposition
+(layers i+1 and i+2) sends to bag i+1: numpy arrays with one axis per unpinned
+vertex of layer i+2 in increasing vertex-id order, the argmin being a C-order
+flat index over the unpinned vertices of layer i+1.  Exit codes: 0 ok,
+2 validation error, 3 budget exceeded, 4 solver precondition failure.
 """
 
 from __future__ import annotations
@@ -67,9 +68,14 @@ from .model import (
 from .oracle import brute_force_min_cost, brute_force_min_delay
 from .solver_layered import apply_perturbations, min_cost_layered
 from .solver_tree import min_delay_collapse, min_delay_tree
-from .solver_treewidth import make_decomposition, min_cost_treewidth, min_fill_decomposition
+from .solver_treewidth import (
+    DEFAULT_TABLE_BUDGET,
+    make_decomposition,
+    min_cost_treewidth,
+    min_fill_decomposition,
+)
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -104,6 +110,15 @@ def _num(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValidationError(f"{what}: expected a number, got {x!r}")
     return float(x)
+
+
+def _matrix_rows(proc_doc: dict) -> list[list]:
+    rows = proc_doc["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValidationError("processing: 'matrix' must be a list of rows")
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError("processing: matrix rows differ in length")
+    return rows
 
 
 class NetworkDoc:
@@ -179,7 +194,7 @@ class ComputationDoc:
         if "matrix" in proc_doc:
             _require_fields(proc_doc, ("matrix",), what="processing")
             proc = np.array(
-                [[_num(x, "processing") for x in row] for row in proc_doc["matrix"]]
+                [[_num(x, "processing") for x in row] for row in _matrix_rows(proc_doc)]
             )
             if proc.shape != (p, n_network):
                 raise ValidationError(
@@ -230,10 +245,12 @@ def load_embedding(doc: dict, cdoc: ComputationDoc, ndoc: NetworkDoc) -> Embeddi
     cids = {name: i for i, name in enumerate(cdoc.names)}
     nids = {name: i for i, name in enumerate(ndoc.names)}
     asg = [-1] * cdoc.cg.p
+    if not isinstance(doc["map"], dict):
+        raise ValidationError("embedding: 'map' must be an object of vertex: node names")
     for w, v in doc["map"].items():
         if w not in cids:
             raise ValidationError(f"embedding: unknown computation vertex {w!r}")
-        if v not in nids:
+        if not isinstance(v, str) or v not in nids:
             raise ValidationError(f"embedding: unknown network node {v!r}")
         asg[cids[w]] = nids[v]
     if any(x < 0 for x in asg):
@@ -258,14 +275,20 @@ def load_edits(doc: dict, cdoc: ComputationDoc):
     edits = []
     for add in doc["adds"]:
         _require_fields(add, ("edge", "layer"), what="edit")
-        u, v, lam = add["edge"]
+        spec, layer = add["edge"], add["layer"]
+        if not isinstance(spec, list) or len(spec) != 3 \
+                or not all(isinstance(x, str) for x in spec[:2]):
+            raise ValidationError(f"edit: edge {spec!r} must be [u, v, weight]")
+        if isinstance(layer, bool) or not isinstance(layer, int):
+            raise ValidationError(f"edit: layer {layer!r} must be an integer")
+        u, v, lam = spec
         for x in (u, v):
             if x not in ids:
                 ids[x] = len(names)
                 names.append(x)
         edge = (ids[u], ids[v], _num(lam, "edit weight"))
         new_edges.append(edge)
-        edits.append((edge, int(add["layer"])))
+        edits.append((edge, layer))
     cg = cdoc.cg
     p2 = len(names)
     proc2 = np.zeros((p2, cg.processing.shape[1]))
@@ -453,7 +476,7 @@ def _cmd_bench(args) -> int:
         layers=doc.get("layers", 3), width=doc.get("width", 2),
     )
     if args.study == "link-usage":
-        table = experiment_link_usage(cfg, threads=args.threads)
+        table = experiment_link_usage(cfg)
     else:
         table = experiment_k2_gap(cfg)
         ratios = [row[2] for row in table.rows]
@@ -482,7 +505,7 @@ def _cmd_validate(args) -> int:
         n_guess = args.n if args.n is not None else 1
         if isinstance(doc, dict) and isinstance(doc.get("processing"), dict) \
                 and "matrix" in doc["processing"]:
-            rows = doc["processing"]["matrix"]
+            rows = _matrix_rows(doc["processing"])
             n_guess = len(rows[0]) if rows else 0
         cdoc = ComputationDoc.from_json(doc, n_guess)
         print(f"computation ok: {cdoc.cg.p} vertices, {cdoc.cg.q} edges")
@@ -505,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--state-out", default=None)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_BUDGET)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("eval", help="evaluate an embedding")
@@ -524,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edits", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--state-out", default=None)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_BUDGET)
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("bench", help="run an experiment suite")
@@ -532,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config's master seed")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("validate", help="check input files")

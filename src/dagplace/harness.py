@@ -252,29 +252,17 @@ def _usage_trials(cfg: ExperimentConfig, gi: int, inst: int) -> list[int]:
     return values
 
 
-def experiment_link_usage(cfg: ExperimentConfig, *, threads: int = 1) -> StatsTable:
+def experiment_link_usage(cfg: ExperimentConfig) -> StatsTable:
     """Mean/median of the maximum link usage of minimum-delay tree embeddings.
 
     For each edge probability: ``instances`` random networks, each solved for
     ``placements`` random source/sink placements.  Samples that stay
     disconnected past the resample limit are discarded and counted out of the
-    ``trials`` column.  Trials are independent; ``threads`` > 1 runs them on a
-    thread pool with the aggregation order fixed by (grid, instance) index.
+    ``trials`` column.
     """
-    jobs = [(gi, inst) for gi in range(len(cfg.p_r_grid)) for inst in range(cfg.instances)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: _usage_trials(cfg, *j), jobs))
-    else:
-        results = [_usage_trials(cfg, *j) for j in jobs]
-    by_grid: dict[int, list[int]] = {gi: [] for gi in range(len(cfg.p_r_grid))}
-    for (gi, _), values in zip(jobs, results):
-        by_grid[gi].extend(values)
     rows = []
     for gi, p_r in enumerate(cfg.p_r_grid):
-        values = by_grid[gi]
+        values = [v for inst in range(cfg.instances) for v in _usage_trials(cfg, gi, inst)]
         rows.append((
             p_r,
             statistics.fmean(values) if values else float("nan"),

@@ -11,8 +11,7 @@ import itertools
 from .errors import BudgetExceeded
 from .metrics import DelayReport, Embedding, embedding_cost, embedding_delay
 from .model import ComputationGraph, DistanceMatrix, NetworkGraph
-
-DEFAULT_BUDGET = 10**7
+from .solver_treewidth import DEFAULT_TABLE_BUDGET
 
 
 def free_vertices(cg: ComputationGraph) -> list[int]:
@@ -20,7 +19,7 @@ def free_vertices(cg: ComputationGraph) -> list[int]:
     return [w for w in range(cg.p) if w not in pinned]
 
 
-def enumerate_embeddings(cg: ComputationGraph, net: NetworkGraph, *, budget: int = DEFAULT_BUDGET):
+def enumerate_embeddings(cg: ComputationGraph, net: NetworkGraph, *, budget: int = DEFAULT_TABLE_BUDGET):
     """Yield every embedding exactly once, pinned vertices fixed.
 
     Raises BudgetExceeded when n**(number of free vertices) exceeds ``budget``.
@@ -47,7 +46,7 @@ def brute_force_min_cost(
     net: NetworkGraph,
     dm: DistanceMatrix,
     *,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[Embedding, float]:
     best_e = None
     best = float("inf")
@@ -63,7 +62,7 @@ def brute_force_min_delay(
     net: NetworkGraph,
     dm: DistanceMatrix,
     *,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[Embedding, DelayReport]:
     # the topological order is computed once by the graph and shared here
     best_e = None

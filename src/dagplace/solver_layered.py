@@ -1,29 +1,23 @@
 """Exact minimum-cost embedding for layered computation graphs.
 
-The dynamic program sweeps the layers once.  For layer l it tabulates, for
-every assignment tuple Y of layer l+1, the cheapest way to place layers 1..l
-(processing, intra-layer and layer-crossing communication) compatible with Y,
-keeping a backtracking pointer.  Assignment tuples run over all network nodes
-with repetition, with pinned vertices (sources, sink) fixed, so a full sweep
-costs O(r n^{2k}).
+The layered dynamic program is the tree-decomposition engine of
+``solver_treewidth`` run on ``layered_path_decomposition``: bag i holds
+layers i and i+1 and sends the next bag, for every assignment of layer i+1,
+the cheapest placement of layers 1..i.  Pinned vertices (sources, sink) take
+no table axis, so a full sweep costs O(r n^{2k}).
 
-The per-layer tables are returned in a ``LayeredDPState`` so that later graph
+The per-bag messages are returned in a ``LayeredDPState`` so that later graph
 edits can be re-planned by recomputing only from the earliest affected layer;
 the result is identical to a fresh solve on the edited graph.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceeded,
-    DanglingEdit,
-    NotLayered,
-    ValidationError,
-    WidthExceeded,
-)
+import numpy as np
+
+from .errors import DanglingEdit, NotLayered, ValidationError, WidthExceeded
 from .metrics import Embedding
 from .model import (
     ComputationGraph,
@@ -32,8 +26,12 @@ from .model import (
     NetworkGraph,
     validate_layering,
 )
-
-DEFAULT_TABLE_BUDGET = 10**7
+from .solver_treewidth import (
+    DEFAULT_TABLE_BUDGET,
+    _pinned_map,
+    _solve_bags,
+    layered_path_decomposition,
+)
 
 
 @dataclass(frozen=True)
@@ -47,110 +45,30 @@ class LayeredDPState:
     k: int
     n: int
     pinned: tuple[tuple[int, int], ...]  # (computation vertex, network node)
-    h: tuple[dict, ...]  # h[l-1]: assignment tuple of layer l+1 -> cost
-    x: tuple[dict, ...]  # x[l-1]: assignment tuple of layer l+1 -> tuple of layer l
+    # h[i]: (min, argmin) message of bag i (layers i+1, i+2) to bag i+1; one
+    # axis per free vertex of layer i+2, argmin a flat index over layer i+1
+    h: tuple[tuple[np.ndarray, np.ndarray], ...]
     cost: float
     assignment: tuple[int, ...]
 
 
-def _layer_lists(layer: tuple[int, ...], r: int) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(r)]
-    for w, l in enumerate(layer):
-        out[l - 1].append(w)
-    return out
-
-
-def _domain(vertices, pinned: dict[int, int], n: int):
-    choices = [(pinned[w],) if w in pinned else tuple(range(n)) for w in vertices]
-    return [tuple(t) for t in itertools.product(*choices)]
-
-
-def _check_budget(domains, budget: int) -> None:
-    worst = 0
-    for a, b in zip(domains, domains[1:]):
-        worst = max(worst, len(a) * len(b))
-    if worst > budget:
-        raise BudgetExceeded(f"layer table of {worst} cells exceeds the budget of {budget}")
-
-
-def _solve_forward(cg, layer, r, pinned, dm, start, h_prev_tables, x_prev_tables, budget):
-    """Run the DP from layer ``start`` onward, reusing earlier tables."""
-    n = dm.n
-    layers = _layer_lists(layer, r)
-    pos = [{w: i for i, w in enumerate(ws)} for ws in layers]
-    domains = [_domain(ws, pinned, n) for ws in layers]
-    _check_budget(domains, budget)
-
-    intra: list[list[tuple[int, int, float]]] = [[] for _ in range(r)]
-    inter: list[list[tuple[int, int, float]]] = [[] for _ in range(r)]
-    for a, b, lam in cg.edges:
-        la, lb = layer[a], layer[b]
-        if la == lb:
-            intra[la - 1].append((pos[la - 1][a], pos[la - 1][b], lam))
-        else:
-            inter[la - 1].append((pos[la - 1][a], pos[lb - 1][b], lam))
-
-    d = dm.dist
-    proc = cg.processing
-
-    def local_cost(l, X):
-        ws = layers[l]
-        c = 0.0
-        for i, w in enumerate(ws):
-            c += proc[w, X[i]]
-        for i, j, lam in intra[l]:
-            c += lam * d[X[i], X[j]]
-        return c
-
-    h_tables = list(h_prev_tables[: start - 1])
-    x_tables = list(x_prev_tables[: start - 1])
-    if start == 1:
-        h_prev = {X: 0.0 for X in domains[0]}
-    else:
-        h_prev = h_tables[start - 2]
-
-    for l in range(start, r):
-        base = {X: h_prev[X] + local_cost(l - 1, X) for X in domains[l - 1]}
-        edges_lv = inter[l - 1]
-        h_cur: dict = {}
-        x_cur: dict = {}
-        for Y in domains[l]:
-            best = None
-            best_x = None
-            for X in domains[l - 1]:
-                v = base[X]
-                for i, j, lam in edges_lv:
-                    v += lam * d[X[i], Y[j]]
-                if best is None or v < best:
-                    best, best_x = v, X
-            h_cur[Y] = float(best)
-            x_cur[Y] = best_x
-        h_tables.append(h_cur)
-        x_tables.append(x_cur)
-        h_prev = h_cur
-
-    best = None
-    best_last = None
-    for X in domains[r - 1]:
-        v = h_prev[X] + local_cost(r - 1, X) if r > 1 else local_cost(0, X)
-        if best is None or v < best:
-            best, best_last = float(v), X
-
-    asg = [0] * cg.p
-    chosen = best_last
-    for i, w in enumerate(layers[r - 1]):
-        asg[w] = chosen[i]
-    for l in range(r - 1, 0, -1):
-        chosen = x_tables[l - 1][chosen]
-        for i, w in enumerate(layers[l - 1]):
-            asg[w] = chosen[i]
-    return Embedding(tuple(asg)), best, tuple(h_tables), tuple(x_tables)
-
-
-def _pinned_map(cg: ComputationGraph, net: NetworkGraph) -> dict[int, int]:
-    pinned = {w: net.sources[i] for i, w in enumerate(cg.sources)}
-    pinned[cg.sink] = net.sink
-    return pinned
+def _solve(cg, ls, pinned, n, dm, k, budget, reuse=()):
+    """Run the bag engine on the path decomposition of ``ls``; keep its messages."""
+    td = layered_path_decomposition(ls, cg)
+    e, cost, messages = _solve_bags(cg, td, pinned, dm, budget, reuse)
+    state = LayeredDPState(
+        p=cg.p,
+        edges=cg.edges,
+        layer=ls.layer,
+        r=ls.r,
+        k=k,
+        n=n,
+        pinned=tuple(sorted(pinned.items())),
+        h=messages[:-1],  # the root is the last bag and sends nothing
+        cost=cost,
+        assignment=e.assignment,
+    )
+    return e, cost, state
 
 
 def min_cost_layered(
@@ -163,26 +81,11 @@ def min_cost_layered(
 ) -> tuple[Embedding, float, LayeredDPState]:
     """Minimum-cost embedding of a layered graph; exact, deterministic.
 
-    Ties in the per-layer minimization go to the lexicographically smallest
+    Ties in the per-bag minimization go to the lexicographically smallest
     assignment tuple.
     """
     validate_layering(cg, ls)
-    pinned = _pinned_map(cg, net)
-    e, cost, h, x = _solve_forward(cg, ls.layer, ls.r, pinned, dm, 1, (), (), budget)
-    state = LayeredDPState(
-        p=cg.p,
-        edges=cg.edges,
-        layer=ls.layer,
-        r=ls.r,
-        k=ls.k,
-        n=net.n,
-        pinned=tuple(sorted(pinned.items())),
-        h=h,
-        x=x,
-        cost=cost,
-        assignment=e.assignment,
-    )
-    return e, cost, state
+    return _solve(cg, ls, _pinned_map(cg, net), net.n, dm, ls.k, budget)
 
 
 def apply_perturbations(
@@ -199,7 +102,7 @@ def apply_perturbations(
     additions already present in ``cg2``; new vertices use ids >= the original
     vertex count and the edit's ``layer`` places them.  For an edit between
     two existing vertices the layer must match the edge's tail (or head, for
-    a layer-crossing edge entering it).  Tables are recomputed from the
+    a layer-crossing edge entering it).  Bags are recomputed from the
     earliest affected layer forward, which reproduces a fresh solve exactly.
     """
     if not edits:
@@ -247,20 +150,5 @@ def apply_perturbations(
     if any(s not in pinned for s in cg2.sources) or cg2.sink not in pinned:
         raise ValidationError("edits must not change the pinned sources or sink")
 
-    e, cost, h, x = _solve_forward(
-        cg2, ls2.layer, r, pinned, dm, start, state.h, state.x, budget
-    )
-    new_state = LayeredDPState(
-        p=cg2.p,
-        edges=cg2.edges,
-        layer=ls2.layer,
-        r=r,
-        k=state.k,
-        n=state.n,
-        pinned=tuple(sorted(pinned.items())),
-        h=h,
-        x=x,
-        cost=cost,
-        assignment=e.assignment,
-    )
-    return e, cost, new_state
+    # bags 0..start-2 hold layers 1..start only and see no edit
+    return _solve(cg2, ls2, pinned, state.n, dm, state.k, budget, state.h[: start - 1])

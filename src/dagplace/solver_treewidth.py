@@ -4,13 +4,16 @@ Cost does not depend on edge directions, so this solver also accepts cyclic
 computation schemas.  Every computation vertex and edge is charged exactly
 once, at its home bag (the bag nearest the root that contains it), and bag
 tables are combined bottom-up by matching assignments on shared vertices.
-A solve costs O(#bags * n^{max bag size}).
+Each bag table is a numpy array with one axis per unpinned vertex, so a solve
+costs O(#bags * n^{max free vertices per bag}).  The layered solver runs the
+same engine on ``layered_path_decomposition``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceeded, InvalidDecomposition
 from .metrics import Embedding
@@ -198,41 +201,49 @@ def min_fill_decomposition(cg: ComputationGraph) -> TreeDecomposition:
     return make_decomposition(cg, elim_bag, tree_edges)
 
 
-def min_cost_treewidth(
-    cg: ComputationGraph,
-    td: TreeDecomposition,
-    net: NetworkGraph,
-    dm: DistanceMatrix,
-    *,
-    budget: int = DEFAULT_TABLE_BUDGET,
-) -> tuple[Embedding, float]:
-    """Minimum-cost embedding using the supplied decomposition; exact.
-
-    Ties go to the lexicographically smallest assignment per bag, resolved
-    root-down.
-    """
-    check_decomposition(cg, td.bags, td.tree_edges)
-    n = net.n
-    if max(n ** len(b) for b in td.bags) > budget:
-        raise BudgetExceeded(
-            f"{n}^{max(len(b) for b in td.bags)} assignments exceed the budget of {budget}"
-        )
+def _pinned_map(cg: ComputationGraph, net: NetworkGraph) -> dict[int, int]:
     pinned = {w: net.sources[i] for i, w in enumerate(cg.sources)}
     pinned[cg.sink] = net.sink
-    d = dm.dist
+    return pinned
 
-    pos = [{w: i for i, w in enumerate(bag)} for bag in td.bags]
-    domains = []
-    for bag in td.bags:
-        choices = [(pinned[w],) if w in pinned else tuple(range(n)) for w in bag]
-        domains.append([tuple(t) for t in itertools.product(*choices)])
+
+def _message(table: np.ndarray, free: list[int], parent_bag) -> tuple[np.ndarray, np.ndarray]:
+    """Min and argmin of a bag table over its axes outside ``parent_bag``.
+
+    Both arrays have one axis per free separator vertex, in increasing id
+    order; the argmin is a C-order flat index over the remaining axes, so
+    ties go to the lexicographically smallest completion.
+    """
+    sep = [i for i, w in enumerate(free) if w in parent_bag]
+    t = np.moveaxis(table, sep, range(len(sep)))
+    t = t.reshape(t.shape[: len(sep)] + (-1,))
+    return t.min(axis=-1), t.argmin(axis=-1)
+
+
+def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
+    """Bag-table dynamic program over ``td``: (embedding, cost, messages).
+
+    Bag b's table has one axis of length n per free (unpinned) vertex of the
+    bag, in increasing id order.  It sums the processing of the bag's home
+    vertices, then ``lam * d`` of its home edges in ``cg.edges`` order, then
+    its children's messages; ``messages[b]`` is the (min, argmin) pair that
+    bag b sends to its parent, and None at the root.  ``reuse`` supplies the
+    messages of bags 0..len(reuse)-1, which are not rebuilt; each must come
+    with its whole subtree.  ``budget`` bounds the cells of the largest table.
+    """
+    n = dm.n
+    d = dm.dist
+    free = [[w for w in bag if w not in pinned] for bag in td.bags]
+    cells = max(n ** len(f) for f in free)
+    if cells > budget:
+        raise BudgetExceeded(f"bag table of {cells} cells exceeds the budget of {budget}")
 
     home_vertices: list[list[int]] = [[] for _ in td.bags]
     for w, b in enumerate(td.vertex_home):
         home_vertices[b].append(w)
     home_edges: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
-    for (a, b, lam), hb in zip(cg.edges, td.edge_home):
-        home_edges[hb].append((a, b, lam))
+    for edge, hb in zip(cg.edges, td.edge_home):
+        home_edges[hb].append(edge)
 
     children = td.children()
     post = []
@@ -246,56 +257,61 @@ def min_cost_treewidth(
             for c in children[b]:
                 stack.append((c, False))
 
-    tables: dict[int, dict] = {}
-    choice: dict[tuple[int, int], dict] = {}  # (parent, child) -> shared asg -> child asg
-    messages: dict[tuple[int, int], dict] = {}
+    messages = list(reuse) + [None] * (len(td.bags) - len(reuse))
+    tables: dict[int, np.ndarray] = {}
     for b in post:
-        local = {}
-        for asg in domains[b]:
-            c = 0.0
-            for w in home_vertices[b]:
-                c += cg.processing[w, asg[pos[b][w]]]
-            for a2, b2, lam in home_edges[b]:
-                c += lam * d[asg[pos[b][a2]], asg[pos[b][b2]]]
-            local[asg] = float(c)
+        if b < len(reuse):
+            continue
+        fb = free[b]
+        # each vertex's image: its pinned node, or a range along its own axis
+        image = {w: pinned[w] for w in td.bags[b] if w in pinned}
+        for i, w in enumerate(fb):
+            image[w] = np.arange(n).reshape([n if j == i else 1 for j in range(len(fb))])
+        table = np.zeros((n,) * len(fb))
+        for w in home_vertices[b]:
+            table += cg.processing[w, image[w]]
+        for a, c, lam in home_edges[b]:
+            table += lam * d[image[a], image[c]]
         for ch in children[b]:
-            shared = [w for w in td.bags[ch] if w in pos[b]]
-            ch_idx = [pos[ch][w] for w in shared]
-            msg: dict = {}
-            pick: dict = {}
-            for asg in domains[ch]:
-                key = tuple(asg[i] for i in ch_idx)
-                v = tables[ch][asg]
-                if key not in msg or v < msg[key]:
-                    msg[key] = v
-                    pick[key] = asg
-            messages[(b, ch)] = (msg, [pos[b][w] for w in shared])
-            choice[(b, ch)] = pick
-        table = {}
-        for asg in domains[b]:
-            v = local[asg]
-            for ch in children[b]:
-                msg, b_idx = messages[(b, ch)]
-                v += msg[tuple(asg[i] for i in b_idx)]
-            table[asg] = v
+            if messages[ch] is None:
+                messages[ch] = _message(tables.pop(ch), free[ch], td.bags[b])
+            table += messages[ch][0].reshape([n if w in td.bags[ch] else 1 for w in fb])
         tables[b] = table
 
-    root_dom = domains[td.root]
-    best_asg = None
-    best = None
-    for asg in root_dom:
-        v = tables[td.root][asg]
-        if best is None or v < best:
-            best, best_asg = float(v), asg
-
-    assignment = [-1] * cg.p
-    stack2 = [(td.root, best_asg)]
+    root = tables[td.root]
+    flat = int(root.argmin())
+    assignment = [0] * cg.p
+    for w, v in pinned.items():
+        assignment[w] = v
+    for w, v in zip(free[td.root], np.unravel_index(flat, root.shape)):
+        assignment[w] = int(v)
+    stack2 = [td.root]
     while stack2:
-        b, asg = stack2.pop()
-        for w, v in zip(td.bags[b], asg):
-            assignment[w] = v
+        b = stack2.pop()
         for ch in children[b]:
-            msg, b_idx = messages[(b, ch)]
-            key = tuple(asg[i] for i in b_idx)
-            stack2.append((ch, choice[(b, ch)][key]))
-    return Embedding(tuple(assignment)), best
+            sep = [w for w in free[ch] if w in td.bags[b]]
+            rest = [w for w in free[ch] if w not in td.bags[b]]
+            pick = int(messages[ch][1][tuple(assignment[w] for w in sep)])
+            for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
+                assignment[w] = int(v)
+            stack2.append(ch)
+    return Embedding(tuple(assignment)), float(root.reshape(-1)[flat]), tuple(messages)
+
+
+def min_cost_treewidth(
+    cg: ComputationGraph,
+    td: TreeDecomposition,
+    net: NetworkGraph,
+    dm: DistanceMatrix,
+    *,
+    budget: int = DEFAULT_TABLE_BUDGET,
+) -> tuple[Embedding, float]:
+    """Minimum-cost embedding using the supplied decomposition; exact.
+
+    Ties go to the lexicographically smallest assignment per bag, resolved
+    root-down.  ``budget`` bounds the cells of the largest bag table, counting
+    only unpinned vertices.
+    """
+    check_decomposition(cg, td.bags, td.tree_edges)
+    emb, cost, _ = _solve_bags(cg, td, _pinned_map(cg, net), dm, budget)
+    return emb, cost

@@ -171,6 +171,29 @@ def test_exit_codes(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("perturb", {"adds": [{"edge": ["prod", "tap"], "layer": 3}]}),
+    ("eval", {"map": [["x1", "s1"], ["out", "t"]]}),
+    ("validate", {"nodes": ["a", "b"], "edges": [["a", "b", 1.0]], "sources": ["a"],
+                  "sink": "b", "processing": {"matrix": [1]}}),
+])
+def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
+    bad, out, state = tmp_path / "bad.json", str(tmp_path / "o.json"), str(tmp_path / "s.bin")
+    bad.write_text(json.dumps(doc))
+    prodsum = ["--network", fx("prodsum_net.json"), "--computation", fx("prodsum_cg.json")]
+    assert main(["solve", "--objective", "mincost", "--method", "layered", *prodsum,
+                 "--out", out, "--state-out", state]) == 0
+    argv = {
+        "perturb": ["perturb", "--state", state, "--edits", str(bad), "--out", out],
+        "eval": ["eval", "--metric", "cost", *prodsum, "--embedding", str(bad), "--out", out],
+        "validate": ["validate", "--computation", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_network_round_trip():
     doc = load_json(fx("prodsum_net.json"))
     nd = NetworkDoc.from_json(doc)

@@ -97,10 +97,6 @@ class TestExperiments:
         t2 = experiment_link_usage(desk_cfg())
         assert t1.to_csv() == t2.to_csv()
 
-    def test_threaded_equals_sequential(self):
-        assert (experiment_link_usage(desk_cfg(), threads=3).to_csv()
-                == experiment_link_usage(desk_cfg()).to_csv())
-
     def test_stats_at_least_one(self):
         table = experiment_link_usage(desk_cfg())
         for _, mean, median, trials in table.rows:

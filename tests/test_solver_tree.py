@@ -1,9 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from conftest import place_roles, random_tree_cg
+import dagplace.solver_tree
 from dagplace import fixtures as fx
 from dagplace.errors import NotATree, PreconditionViolated
 from dagplace.harness import random_connected_network
@@ -51,6 +53,19 @@ def test_matches_oracle_on_random_instances():
         # forward tables agree with a fresh evaluation of the embedding
         assert embedding_delay(cg, dm, emb).total == rep.total
         checked += 1
+
+
+@pytest.mark.parametrize("solver", [min_delay_tree, min_delay_collapse])
+def test_self_check_raises_on_wrong_total(solver, monkeypatch):
+    cg, net = fx.fanin_computation(), fx.fanin_network()
+
+    def off_by_one(*args):
+        report = embedding_delay(*args)
+        return dataclasses.replace(report, total=report.total + 1)
+
+    monkeypatch.setattr(dagplace.solver_tree, "embedding_delay", off_by_one)
+    with pytest.raises(RuntimeError, match="6.0.*5"):
+        solver(cg, net, apsp(net))
 
 
 class TestCollapse:

@@ -8,7 +8,7 @@ from dagplace import fixtures as fx
 from dagplace.errors import BudgetExceeded, InvalidDecomposition
 from dagplace.harness import random_connected_network, random_layered_cg
 from dagplace.metrics import embedding_cost
-from dagplace.model import apsp, build_computation, infer_layering
+from dagplace.model import apsp, build_computation, build_network, infer_layering
 from dagplace.oracle import brute_force_min_cost
 from dagplace.solver_layered import min_cost_layered
 from dagplace.solver_treewidth import (
@@ -147,6 +147,40 @@ class TestMinCostTreewidth:
             _, cost_p = min_cost_treewidth(cg, layered_path_decomposition(ls, cg), pnet, dm)
             assert cost_p == cost_l == best
             checked += 1
+
+    def test_layered_is_the_engine_on_the_path_decomposition(self):
+        # non-integer weights, so any change in summation order shows in the cost
+        weights = tuple(i / 10 for i in range(1, 14))
+        rng = np.random.default_rng(32)
+        checked = 0
+        while checked < 40:
+            n = int(rng.integers(2, 6))
+            cg, ls = random_layered_cg(int(rng.integers(2, 6)), 2, n, rng, lam_choices=weights)
+            if cg.k + 1 > n:
+                continue
+            proc = rng.choice(weights, size=(cg.p, n))
+            proc[list(cg.sources)] = 0.0
+            cg = build_computation(cg.p, cg.edges, cg.sources, cg.sink, proc)
+            net = random_connected_network(n, rng)
+            net = build_network(n, [(u, v, float(rng.choice(weights))) for u, v, _ in net.edges])
+            pnet = place_roles(net, cg.k, rng)
+            dm = apsp(pnet)
+            emb_l, cost_l, _ = min_cost_layered(cg, ls, pnet, dm)
+            emb_p, cost_p = min_cost_treewidth(cg, layered_path_decomposition(ls, cg), pnet, dm)
+            assert cost_l.hex() == cost_p.hex()
+            assert emb_l.assignment == emb_p.assignment
+            checked += 1
+
+    def test_budget_counts_free_cells_only(self):
+        cg = fx.prodsum_computation()
+        net = fx.prodsum_network()
+        dm = apsp(net)
+        td = make_decomposition(cg, [tuple(range(7))], [])
+        budget = net.n ** 3  # vertices 3, 4 and 5 are free; n**7 cells would not fit
+        _, cost = min_cost_treewidth(cg, td, net, dm, budget=budget)
+        assert cost == brute_force_min_cost(cg, net, dm)[1]
+        with pytest.raises(BudgetExceeded):
+            min_cost_treewidth(cg, td, net, dm, budget=budget - 1)
 
     def test_budget_guard(self):
         cg = fx.prodsum_computation()
