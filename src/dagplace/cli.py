@@ -17,9 +17,16 @@ File formats (all JSON, unknown fields rejected):
                 layer places a fresh vertex, and must touch the edge's layer
                 otherwise.
 * decomposition: {"bags": [[vertex-name...]...], "tree_edges": [[i, j]...]}
+                with i, j 0-based bag indices; ``load_decomposition`` parses it.
 * experiment config: {"n": int, "p_r_grid": [float...], "instances": int,
                  "placements": int, "p": int, "master_seed": int} plus the
                  optional knobs of ExperimentConfig.
+
+The document parsers (the ``from_json`` constructors, ``load_embedding``,
+``load_edits``, ``load_decomposition`` and ``load_experiment_config``) check
+each document's shape (lists, arities, name strings, number types) before
+using it, so a wrong-shaped document exits 2 with one ``error:`` line, never a
+traceback.
 
 Solver state files are pickles of a versioned dict (format 2) carrying the
 network, the computation graph, the name tables and the ``LayeredDPState`` of
@@ -70,6 +77,7 @@ from .solver_layered import apply_perturbations, min_cost_layered
 from .solver_tree import min_delay_collapse, min_delay_tree
 from .solver_treewidth import (
     DEFAULT_TABLE_BUDGET,
+    TreeDecomposition,
     make_decomposition,
     min_cost_treewidth,
     min_fill_decomposition,
@@ -112,6 +120,22 @@ def _num(x, what: str) -> float:
     return float(x)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValidationError(f"{what} must be a list, got {x!r}")
+    return x
+
+
+def _lookup(ids: dict, x, what: str) -> int:
+    if not isinstance(x, str) or x not in ids:
+        raise ValidationError(f"{what} {x!r}")
+    return ids[x]
+
+
 def _matrix_rows(proc_doc: dict) -> list[list]:
     rows = proc_doc["matrix"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -133,19 +157,17 @@ class NetworkDoc:
         ids = _name_table(doc["nodes"], "network")
 
         def nid(x):
-            if x not in ids:
-                raise ValidationError(f"network: unknown node name {x!r}")
-            return ids[x]
+            return _lookup(ids, x, "network: unknown node name")
 
         edges = []
-        for e in doc["edges"]:
+        for e in _list(doc["edges"], "network: 'edges'"):
             if not isinstance(e, list) or len(e) != 3:
                 raise ValidationError(f"network: edge {e!r} must be [u, v, weight]")
             edges.append((nid(e[0]), nid(e[1]), _num(e[2], "network edge weight")))
         try:
             net = build_network(
                 len(ids), edges,
-                sources=tuple(nid(s) for s in doc["sources"]),
+                sources=tuple(nid(s) for s in _list(doc["sources"], "network: 'sources'")),
                 sink=nid(doc["sink"]),
                 allow_sink_source=bool(doc.get("allow_sink_source", False)),
             )
@@ -178,12 +200,11 @@ class ComputationDoc:
         p = len(ids)
 
         def vid(x):
-            if x not in ids:
-                raise ValidationError(f"computation: unknown vertex name {x!r}")
-            return ids[x]
+            return _lookup(ids, x, "computation: unknown vertex name")
 
+        sources = tuple(vid(s) for s in _list(doc["sources"], "computation: 'sources'"))
         edges = []
-        for e in doc["edges"]:
+        for e in _list(doc["edges"], "computation: 'edges'"):
             if not isinstance(e, list) or len(e) != 3:
                 raise ValidationError(f"computation: edge {e!r} must be [u, v, weight]")
             edges.append((vid(e[0]), vid(e[1]), _num(e[2], "computation edge weight")))
@@ -203,23 +224,22 @@ class ComputationDoc:
         else:
             _require_fields(proc_doc, ("default",), ("overrides",), what="processing")
             proc = np.full((p, n_network), _num(proc_doc["default"], "processing default"))
-            for ov in proc_doc.get("overrides", []):
+            for ov in _list(proc_doc.get("overrides", []), "processing: 'overrides'"):
                 if not isinstance(ov, list) or len(ov) != 3:
                     raise ValidationError(f"processing override {ov!r} must be [vertex, node, value]")
                 w, node, val = ov
                 if node == "*":
                     proc[vid(w), :] = _num(val, "processing override")
                 else:
-                    if not isinstance(node, int) or not 0 <= node < n_network:
+                    if not _is_int(node) or not 0 <= node < n_network:
                         raise ValidationError(
                             f"processing override node {node!r} must be '*' or 0..{n_network - 1}"
                         )
                     proc[vid(w), node] = _num(val, "processing override")
-            for s in doc["sources"]:
-                proc[vid(s), :] = 0.0
+            proc[list(sources), :] = 0.0
         cg = build_computation(
             p, edges,
-            sources=tuple(vid(s) for s in doc["sources"]),
+            sources=sources,
             sink=vid(doc["sink"]),
             processing=proc,
             require_dag=not bool(doc.get("allow_cycles", False)),
@@ -238,6 +258,11 @@ def load_network(path: str) -> NetworkDoc:
 
 def load_computation(path: str, n_network: int) -> ComputationDoc:
     return ComputationDoc.from_json(load_json(path), n_network)
+
+
+def _check_sources(ndoc: NetworkDoc, cdoc: ComputationDoc) -> None:
+    if ndoc.net.k != cdoc.cg.k:
+        raise ValidationError(f"network has {ndoc.net.k} sources, computation {cdoc.cg.k}")
 
 
 def load_embedding(doc: dict, cdoc: ComputationDoc, ndoc: NetworkDoc) -> Embedding:
@@ -260,6 +285,43 @@ def load_embedding(doc: dict, cdoc: ComputationDoc, ndoc: NetworkDoc) -> Embeddi
     return e
 
 
+def load_decomposition(doc: dict, cdoc: ComputationDoc) -> TreeDecomposition:
+    _require_fields(doc, ("bags", "tree_edges"), what="decomposition")
+    cids = {name: i for i, name in enumerate(cdoc.names)}
+    bags = [
+        [_lookup(cids, w, "decomposition: unknown vertex") for w in _list(bag, "decomposition: a bag")]
+        for bag in _list(doc["bags"], "decomposition: 'bags'")
+    ]
+    tree_edges = _list(doc["tree_edges"], "decomposition: 'tree_edges'")
+    for e in tree_edges:
+        if not isinstance(e, list) or len(e) != 2 or not all(_is_int(i) for i in e):
+            raise ValidationError(f"decomposition: tree edge {e!r} must be [i, j] bag indices")
+    return make_decomposition(cdoc.cg, bags, tree_edges)
+
+
+def load_experiment_config(doc: dict, master_seed: int | None = None) -> ExperimentConfig:
+    """An ExperimentConfig from a document whose fields are its keywords;
+    ``master_seed``, when given, replaces the document's."""
+    _require_fields(
+        doc,
+        ("n", "p_r_grid", "instances", "placements", "p", "master_seed"),
+        ("weight_model", "xi_lo", "xi_hi", "max_resamples", "layers", "width"),
+        what="experiment config",
+    )
+    for key, value in doc.items():
+        if key not in ("p_r_grid", "weight_model") and not _is_int(value):
+            raise ValidationError(f"experiment config: {key!r} must be an integer, got {value!r}")
+    for pr in _list(doc["p_r_grid"], "experiment config: 'p_r_grid'"):
+        _num(pr, "experiment config p_r_grid")
+    fields = dict(doc, p_r_grid=tuple(doc["p_r_grid"]))
+    if master_seed is not None:
+        fields["master_seed"] = master_seed
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as exc:
+        raise ValidationError(f"experiment config: {exc}") from None
+
+
 def embedding_to_json(e: Embedding, cdoc: ComputationDoc, ndoc: NetworkDoc, **extra) -> dict:
     doc = {"map": {cdoc.names[w]: ndoc.names[v] for w, v in enumerate(e.assignment)}}
     doc.update(extra)
@@ -273,7 +335,7 @@ def load_edits(doc: dict, cdoc: ComputationDoc):
     ids = {name: i for i, name in enumerate(names)}
     new_edges = []
     edits = []
-    for add in doc["adds"]:
+    for add in _list(doc["adds"], "edits: 'adds'"):
         _require_fields(add, ("edge", "layer"), what="edit")
         spec, layer = add["edge"], add["layer"]
         if not isinstance(spec, list) or len(spec) != 3 \
@@ -349,6 +411,7 @@ def _write_json(path, doc) -> None:
 def _cmd_solve(args) -> int:
     ndoc = load_network(args.network)
     cdoc = load_computation(args.computation, ndoc.net.n)
+    _check_sources(ndoc, cdoc)
     cg, net = cdoc.cg, ndoc.net
     dm = apsp(net)
     budget = args.budget
@@ -375,14 +438,7 @@ def _cmd_solve(args) -> int:
         key = "cost"
     elif method == "treewidth":
         if args.decomposition:
-            doc = load_json(args.decomposition)
-            _require_fields(doc, ("bags", "tree_edges"), what="decomposition")
-            cids = {name: i for i, name in enumerate(cdoc.names)}
-            try:
-                bags = [[cids[w] for w in bag] for bag in doc["bags"]]
-            except KeyError as exc:
-                raise ValidationError(f"decomposition: unknown vertex {exc.args[0]!r}")
-            td = make_decomposition(cg, bags, doc["tree_edges"])
+            td = load_decomposition(load_json(args.decomposition), cdoc)
         else:
             td = min_fill_decomposition(cg)
         emb, value = min_cost_treewidth(cg, td, net, dm, budget=budget)
@@ -458,23 +514,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    doc = load_json(args.config)
-    _require_fields(
-        doc,
-        ("n", "p_r_grid", "instances", "placements", "p", "master_seed"),
-        ("weight_model", "xi_lo", "xi_hi", "max_resamples", "layers", "width"),
-        what="experiment config",
-    )
-    if args.seed is not None:
-        doc = dict(doc, master_seed=args.seed)
-    cfg = ExperimentConfig(
-        n=doc["n"], p_r_grid=tuple(doc["p_r_grid"]), instances=doc["instances"],
-        placements=doc["placements"], p=doc["p"], master_seed=doc["master_seed"],
-        weight_model=doc.get("weight_model", "unit"),
-        xi_lo=doc.get("xi_lo", 1), xi_hi=doc.get("xi_hi", 10),
-        max_resamples=doc.get("max_resamples", 200),
-        layers=doc.get("layers", 3), width=doc.get("width", 2),
-    )
+    cfg = load_experiment_config(load_json(args.config), args.seed)
     if args.study == "link-usage":
         table = experiment_link_usage(cfg)
     else:
@@ -499,10 +539,13 @@ def _cmd_validate(args) -> int:
               f" {len(ndoc.net.sources)} sources")
         if args.computation:
             cdoc = load_computation(args.computation, ndoc.net.n)
+            _check_sources(ndoc, cdoc)
             print(f"computation ok: {cdoc.cg.p} vertices, {cdoc.cg.q} edges")
     elif args.computation:
         doc = load_json(args.computation)
         n_guess = args.n if args.n is not None else 1
+        if n_guess < 1:
+            raise ValidationError("--n must be at least 1")
         if isinstance(doc, dict) and isinstance(doc.get("processing"), dict) \
                 and "matrix" in doc["processing"]:
             rows = _matrix_rows(doc["processing"])

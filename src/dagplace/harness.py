@@ -47,10 +47,18 @@ class ExperimentConfig:
     width: int = 2
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("need at least two network nodes")
+        if self.weight_model not in ("unit", "randint"):
+            raise ValueError(f"unknown weight model {self.weight_model!r}")
         if not all(0 < pr <= 1 for pr in self.p_r_grid):
             raise ValueError("edge probabilities must lie in (0,1]")
         if self.instances < 1 or self.placements < 1:
             raise ValueError("counts must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
+        if self.xi_lo > self.xi_hi:
+            raise ValueError("xi_lo must not exceed xi_hi")
 
 
 @dataclass(frozen=True)

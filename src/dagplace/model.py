@@ -8,9 +8,8 @@ operations here are pure functions.
 from __future__ import annotations
 
 import heapq
-import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,7 +55,8 @@ class NetworkGraph:
         return {(u, v): w for u, v, w in self.edges}
 
     def with_roles(self, sources, sink) -> "NetworkGraph":
-        return build_network(self.n, self.edges, sources, sink)
+        sources, sink = _check_roles(self.n, sources, sink)
+        return replace(self, sources=sources, sink=sink)
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,12 @@ def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -
     comps = _components(n, norm)
     if len(comps) > 1:
         raise DisconnectedGraph(comps)
+    sources, sink = _check_roles(n, sources, sink, allow_sink_source)
+    return NetworkGraph(n=n, edges=tuple(sorted(norm)), sources=sources, sink=sink)
+
+
+def _check_roles(n, sources, sink, allow_sink_source=False) -> tuple[tuple[int, ...], int | None]:
+    """Normalised (sources, sink) of an n-node network; raises on invalid roles."""
     sources = tuple(int(s) for s in sources)
     for s in sources:
         if not 0 <= s < n:
@@ -211,7 +217,7 @@ def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -
             raise ValidationError(
                 "sink coincides with a source (pass allow_sink_source=True to permit)"
             )
-    return NetworkGraph(n=n, edges=tuple(sorted(norm)), sources=sources, sink=sink)
+    return sources, sink
 
 
 def _toposort(p: int, edges) -> tuple[int, ...] | None:
@@ -459,30 +465,3 @@ def check_tree(cg: ComputationGraph) -> bool:
         return False
     return all(out[v] == 1 for v in range(cg.p) if v != cg.sink)
 
-
-def all_simple_paths(net: NetworkGraph, u: int, v: int):
-    """Yield every simple u->v path; test oracle for shortest-path checks."""
-    adj = net.adjacency()
-
-    def rec(path, seen):
-        x = path[-1]
-        if x == v:
-            yield list(path)
-            return
-        for y, _ in adj[x]:
-            if y not in seen:
-                path.append(y)
-                seen.add(y)
-                yield from rec(path, seen)
-                seen.remove(y)
-                path.pop()
-
-    yield from rec([u], {u})
-
-
-def path_weight(net: NetworkGraph, path) -> float:
-    w = net.edge_weight()
-    total = 0.0
-    for a, b in itertools.pairwise(path):
-        total += w[(min(a, b), max(a, b))]
-    return total

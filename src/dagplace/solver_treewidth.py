@@ -60,86 +60,74 @@ class TreeDecomposition:
 
 def check_decomposition(cg: ComputationGraph, bags, tree_edges) -> None:
     """Verify the three decomposition conditions; raise InvalidDecomposition."""
+    make_decomposition(cg, bags, tree_edges)
+
+
+def make_decomposition(cg: ComputationGraph, bags, tree_edges) -> TreeDecomposition:
+    """Validate, root (at the first bag holding the sink) and assign home bags.
+
+    Raises InvalidDecomposition unless the bags form a tree, cover every
+    vertex and edge, and the bags holding each vertex are connected.  A
+    vertex's home is its bag nearest the root, ties to the smaller index.
+    Since the bags holding a vertex form a subtree, an edge's home, the bag
+    nearest the root holding both ends, is the deeper of the ends' homes.
+    """
+    bags = tuple(tuple(sorted(set(b))) for b in bags)
+    tree_edges = tuple((int(a), int(b)) for a, b in tree_edges)
     nb = len(bags)
     if nb == 0:
         raise InvalidDecomposition("no bags")
     if len(tree_edges) != nb - 1:
         raise InvalidDecomposition(f"{nb} bags need {nb - 1} tree edges")
-    adj: dict[int, set[int]] = {i: set() for i in range(nb)}
+    adj: list[list[int]] = [[] for _ in range(nb)]
     for a, b in tree_edges:
         if not (0 <= a < nb and 0 <= b < nb) or a == b:
             raise InvalidDecomposition(f"bad tree edge ({a},{b})")
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != nb:
-        raise InvalidDecomposition("bag tree is not connected")
-
-    covered = set()
-    for bag in bags:
-        covered.update(bag)
-    if covered != set(range(cg.p)):
-        raise InvalidDecomposition("bags must cover every computation vertex")
-    for a, b, _ in cg.edges:
-        if not any(a in bag and b in bag for bag in bags):
-            raise InvalidDecomposition(f"edge ({a},{b}) is in no bag")
-    for w in range(cg.p):
-        holding = [i for i, bag in enumerate(bags) if w in bag]
-        seen = {holding[0]}
-        stack = [holding[0]]
-        hold = set(holding)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in hold and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != hold:
-            raise InvalidDecomposition(f"bags containing vertex {w} are not connected")
-
-
-def make_decomposition(cg: ComputationGraph, bags, tree_edges) -> TreeDecomposition:
-    """Validate, root (at the bag holding the sink) and assign home bags."""
-    bags = tuple(tuple(sorted(set(b))) for b in bags)
-    tree_edges = tuple((int(a), int(b)) for a, b in tree_edges)
-    check_decomposition(cg, bags, tree_edges)
-
-    root = min(
-        (i for i, b in enumerate(bags) if cg.sink in b), default=0
-    )
-    adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
-    for a, b in tree_edges:
         adj[a].append(b)
         adj[b].append(a)
-    depth = {root: 0}
-    order = [root]
+    root = min((i for i, b in enumerate(bags) if cg.sink in b), default=0)
+    depth = [-1] * nb
+    depth[root] = 0
     stack = [root]
     while stack:
         x = stack.pop()
-        for y in sorted(adj[x]):
-            if y not in depth:
+        for y in adj[x]:
+            if depth[y] < 0:
                 depth[y] = depth[x] + 1
-                order.append(y)
                 stack.append(y)
+    if min(depth) < 0:
+        raise InvalidDecomposition("bag tree is not connected")
 
-    def nearest(pred) -> int:
-        cands = [i for i in range(len(bags)) if pred(bags[i])]
-        return min(cands, key=lambda i: (depth[i], i))
+    if set().union(*bags) != set(range(cg.p)):
+        raise InvalidDecomposition("bags must cover every computation vertex")
+    # in a tree, the bags holding w are connected iff they outnumber the
+    # tree edges between two of them by exactly one
+    pieces = [0] * cg.p
+    for bag in bags:
+        for w in bag:
+            pieces[w] += 1
+    for a, b in tree_edges:
+        for w in set(bags[a]).intersection(bags[b]):
+            pieces[w] -= 1
+    for w, count in enumerate(pieces):
+        if count != 1:
+            raise InvalidDecomposition(f"bags containing vertex {w} are not connected")
 
-    vertex_home = tuple(nearest(lambda bag, w=w: w in bag) for w in range(cg.p))
-    edge_home = tuple(
-        nearest(lambda bag, a=a, b=b: a in bag and b in bag) for a, b, _ in cg.edges
-    )
+    vertex_home = [-1] * cg.p
+    for i in sorted(range(nb), key=lambda i: (depth[i], i)):
+        for w in bags[i]:
+            if vertex_home[w] < 0:
+                vertex_home[w] = i
+    edge_home = []
+    for a, b, _ in cg.edges:
+        ha, hb = vertex_home[a], vertex_home[b]
+        home = ha if depth[ha] >= depth[hb] else hb
+        if a not in bags[home] or b not in bags[home]:
+            raise InvalidDecomposition(f"edge ({a},{b}) is in no bag")
+        edge_home.append(home)
     return TreeDecomposition(
         bags=bags, tree_edges=tree_edges, root=root,
-        vertex_home=vertex_home, edge_home=edge_home,
+        vertex_home=tuple(vertex_home), edge_home=tuple(edge_home),
     )
 
 

@@ -1,10 +1,50 @@
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+from dagplace.cli import (
+    ComputationDoc,
+    NetworkDoc,
+    load_decomposition,
+    load_embedding,
+    load_json,
+)
 from dagplace.metrics import Embedding
 from dagplace.model import build_computation
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_path(name: str) -> str:
+    return str(FIXTURES / name)
+
+
+def _fixture_docs(name: str, cg: str, net: str) -> tuple[ComputationDoc, NetworkDoc]:
+    ndoc = NetworkDoc.from_json(load_json(fixture_path(f"{name}_{net}.json")))
+    cdoc = ComputationDoc.from_json(load_json(fixture_path(f"{name}_{cg}.json")), ndoc.net.n)
+    return cdoc, ndoc
+
+
+def load_fixture(name: str, *, cg: str = "cg", net: str = "net"):
+    """(computation graph, network) of ``fixtures/{name}_{cg|net}.json``,
+    parsed as the CLI parses them; vertex and node ids follow the files'
+    name order."""
+    cdoc, ndoc = _fixture_docs(name, cg, net)
+    return cdoc.cg, ndoc.net
+
+
+def load_embedding_fixture(name: str, emb: str, *, cg: str = "cg", net: str = "net") -> Embedding:
+    """The embedding ``fixtures/{name}_{emb}.json`` of that instance."""
+    cdoc, ndoc = _fixture_docs(name, cg, net)
+    return load_embedding(load_json(fixture_path(f"{name}_{emb}.json")), cdoc, ndoc)
+
+
+def load_decomposition_fixture(name: str):
+    """The tree decomposition ``fixtures/{name}_td.json`` of ``{name}_cg.json``."""
+    cdoc, _ = _fixture_docs(name, "cg", "net")
+    return load_decomposition(load_json(fixture_path(f"{name}_td.json")), cdoc)
 
 
 @pytest.fixture(autouse=True)

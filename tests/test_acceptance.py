@@ -5,13 +5,19 @@ lines as they complete.
 """
 
 import dataclasses
-import pathlib
 import time
 
 import numpy as np
 
-from conftest import place_roles, random_dag_cg, random_embedding, random_tree_cg
-from dagplace import fixtures as fx
+from conftest import (
+    FIXTURES,
+    load_embedding_fixture,
+    load_fixture,
+    place_roles,
+    random_dag_cg,
+    random_embedding,
+    random_tree_cg,
+)
 from dagplace.harness import (
     ExperimentConfig,
     experiment_k2_gap,
@@ -33,8 +39,12 @@ from dagplace.solver_treewidth import (
     min_cost_treewidth,
     min_fill_decomposition,
 )
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+from test_ladder import (
+    ladder_cost_high,
+    ladder_cost_low,
+    ladder_delay_low_cost_lane,
+    ladder_delay_low_delay_lane,
+)
 
 
 class _Check:
@@ -68,10 +78,10 @@ class _Check:
 
 def test_criterion_1_reference_instance_exactness():
     with _Check(1, "reference instance cost/delay and optima", 1.0) as c:
-        cg = fx.prodsum_computation()
-        net = fx.prodsum_network()
+        cg, net = load_fixture("prodsum")
         dm = apsp(net)
-        e1, e2 = fx.prodsum_delay_optimal(), fx.prodsum_cost_optimal()
+        e1 = load_embedding_fixture("prodsum", "emb_delay")
+        e2 = load_embedding_fixture("prodsum", "emb_cost")
         c.expect("cost(E1)=36", embedding_cost(cg, dm, e1) == 36)
         c.expect("cost(E2)=34", embedding_cost(cg, dm, e2) == 34)
         c.expect("delay(E1)=14", embedding_delay(cg, dm, e1).total == 14)
@@ -85,24 +95,26 @@ def test_criterion_1_reference_instance_exactness():
 def test_criterion_2_ladder_closed_forms():
     with _Check(2, "two-lane ladder closed forms (a=10, eps=0.1, l=3)", 1.0) as c:
         a, eps, l = 10.0, 0.1, 3
-        cg, net, e1, e2 = fx.ladder_instance(a, eps, l)
+        cg, net = load_fixture("ladder")
+        e1 = load_embedding_fixture("ladder", "emb_lowcost")
+        e2 = load_embedding_fixture("ladder", "emb_lowdelay")
         dm = apsp(net)
         tol = 1e-9
         c.expect("C(E1)", abs(embedding_cost(cg, dm, e1)
-                              - fx.ladder_cost_low(a, eps, l)) <= tol)
+                              - ladder_cost_low(a, eps, l)) <= tol)
         c.expect("d(E1)", abs(embedding_delay(cg, dm, e1).total
-                              - fx.ladder_delay_low_cost_lane(a, eps, l)) <= tol)
+                              - ladder_delay_low_cost_lane(a, eps, l)) <= tol)
         c.expect("C(E2)", abs(embedding_cost(cg, dm, e2)
-                              - fx.ladder_cost_high(a, eps, l)) <= tol)
+                              - ladder_cost_high(a, eps, l)) <= tol)
         c.expect("d(E2)", abs(embedding_delay(cg, dm, e2).total
-                              - fx.ladder_delay_low_delay_lane(a, eps, l)) <= tol)
+                              - ladder_delay_low_delay_lane(a, eps, l)) <= tol)
 
 
 def test_criterion_3_contention():
     with _Check(3, "shared-link contention raises delay 5 to 6", 1.0) as c:
-        cg, net = fx.fanin_computation(), fx.fanin_network()
+        cg, net = load_fixture("fanin")
         dm = apsp(net)
-        emb = fx.fanin_embedding()
+        emb = load_embedding_fixture("fanin", "emb")
         c.expect("ideal delay=5", embedding_delay(cg, dm, emb).total == 5)
         rep, _ = capacity_aware_delay(cg, net, dm, emb)
         c.expect("capacity-aware delay=6", rep.total == 6)

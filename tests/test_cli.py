@@ -1,21 +1,12 @@
+import copy
 import json
-import pathlib
+import random
+import warnings
 
 import pytest
 
+from conftest import fixture_path as fx
 from dagplace.cli import NetworkDoc, load_json, main
-from dagplace.fixtures import fixture_documents
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def fx(name) -> str:
-    return str(FIXTURES / name)
-
-
-def test_shipped_fixtures_match_builders():
-    for name, doc in fixture_documents().items():
-        assert load_json(fx(name)) == doc, name
 
 
 def test_solve_layered_prodsum(tmp_path):
@@ -171,27 +162,132 @@ def test_exit_codes(tmp_path):
     ]) == 2
 
 
+# name -> (bundled document, a command line that reads it); BAD stands for the
+# document under test, other *.json words for bundled files, STATE for a
+# stored layered solve of prodsum and OUT for an output file
+COMMANDS = {
+    "perturb": ("prodsum_edits.json", "perturb --state STATE --edits BAD --out OUT"),
+    "eval": ("prodsum_emb_delay.json", "eval --metric cost --network prodsum_net.json"
+             " --computation prodsum_cg.json --embedding BAD --out OUT"),
+    "validate": ("prodsum_cg.json", "validate --computation BAD"),
+    "validate-network": ("prodsum_net.json", "validate --network BAD"),
+    "layered-network": ("prodsum_net.json", "solve --objective mincost --method layered"
+                        " --network BAD --computation prodsum_cg.json --out OUT"),
+    "layered": ("prodsum_cg.json", "solve --objective mincost --method layered"
+                " --network prodsum_net.json --computation BAD --out OUT"),
+    "tree-network": ("fanin_net.json", "solve --objective mindelay --method tree"
+                     " --network BAD --computation fanin_cg.json --out OUT"),
+    "tree": ("fanin_cg.json", "solve --objective mindelay --method tree"
+             " --network fanin_net.json --computation BAD --out OUT"),
+    "capdelay": ("fanin_emb.json", "eval --metric capdelay --network fanin_net.json"
+                 " --computation fanin_cg.json --embedding BAD --out OUT"),
+    "treewidth": ("loop_td.json", "solve --objective mincost --method treewidth"
+                  " --network loop_net.json --computation loop_cg.json --decomposition BAD"
+                  " --out OUT"),
+    "treewidth-cg": ("loop_cg.json", "solve --objective mincost --method treewidth"
+                     " --network loop_net.json --computation BAD --decomposition loop_td.json"
+                     " --out OUT"),
+    "bench": ("bench_k2_desk.json", "bench k2-gap --config BAD --csv OUT"),
+}
+
+
+def _argv(name: str, bad: str, tmp_path) -> list[str]:
+    state = tmp_path / "state.bin"
+    if "STATE" in COMMANDS[name][1] and not state.exists():
+        assert main(["solve", "--objective", "mincost", "--method", "layered",
+                     "--network", fx("prodsum_net.json"), "--computation", fx("prodsum_cg.json"),
+                     "--out", str(tmp_path / "solved.json"), "--state-out", str(state)]) == 0
+    words = {"BAD": bad, "STATE": str(state), "OUT": str(tmp_path / "out")}
+    return [words.get(w, fx(w) if w.endswith(".json") else w) for w in COMMANDS[name][1].split()]
+
+
+def _with(fixture, **fields):
+    return dict(load_json(fx(fixture)), **fields)
+
+
 @pytest.mark.parametrize("command, doc", [
     ("perturb", {"adds": [{"edge": ["prod", "tap"], "layer": 3}]}),
     ("eval", {"map": [["x1", "s1"], ["out", "t"]]}),
     ("validate", {"nodes": ["a", "b"], "edges": [["a", "b", 1.0]], "sources": ["a"],
                   "sink": "b", "processing": {"matrix": [1]}}),
+    ("treewidth", _with("loop_td.json", bags=5)),
+    ("treewidth", _with("loop_td.json", tree_edges=5)),
+    ("treewidth", _with("loop_td.json", tree_edges=[[0]])),
+    ("validate-network", _with("prodsum_net.json", edges=5)),
+    ("validate-network", _with("prodsum_net.json", sources=5)),
+    ("validate", _with("prodsum_cg.json", edges=5)),
+    ("validate", _with("prodsum_cg.json", processing={"default": 0, "overrides": 5})),
+    ("validate", _with("prodsum_cg.json", sources=[["x1"]])),
+    ("perturb", {"adds": 5}),
+    ("bench", _with("bench_k2_desk.json", n="x")),
+    ("bench", _with("bench_k2_desk.json", p_r_grid=0.5)),
+    ("bench", _with("bench_k2_desk.json", instances=0)),
+    ("bench", _with("bench_k2_desk.json", n=1)),
 ])
 def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
-    bad, out, state = tmp_path / "bad.json", str(tmp_path / "o.json"), str(tmp_path / "s.bin")
+    bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    prodsum = ["--network", fx("prodsum_net.json"), "--computation", fx("prodsum_cg.json")]
-    assert main(["solve", "--objective", "mincost", "--method", "layered", *prodsum,
-                 "--out", out, "--state-out", state]) == 0
-    argv = {
-        "perturb": ["perturb", "--state", state, "--edits", str(bad), "--out", out],
-        "eval": ["eval", "--metric", "cost", *prodsum, "--embedding", str(bad), "--out", out],
-        "validate": ["validate", "--computation", str(bad)],
-    }[command]
+    argv = _argv(command, str(bad), tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+WRONG_TYPES = (5, "x", [], {}, None)
+
+
+def _mutate(doc, rng: random.Random):
+    """A copy of ``doc`` with one field or list item dropped or given a wrong
+    type, or one list grown or shrunk by an item."""
+    doc = copy.deepcopy(doc)
+    slots = []  # (container, key) of every value below the root
+
+    def walk(node):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+
+    walk(doc)
+    lists = [node[key] for node, key in slots if isinstance(node[key], list) and node[key]]
+    op = rng.choice(("drop", "retype", "resize"))
+    if op == "resize" and lists:
+        target = rng.choice(lists)
+        if rng.random() < 0.5:
+            target.pop()
+        else:
+            target.append(copy.deepcopy(target[-1]))
+    else:
+        node, key = rng.choice(slots)
+        if op == "drop":
+            del node[key]
+        else:
+            node[key] = rng.choice(WRONG_TYPES)
+    return doc
+
+
+def test_fuzzed_documents_never_raise(tmp_path):
+    # bench configs are left to the explicit cases: a valid mutant can run for seconds
+    rng = random.Random(20140)
+    bad = tmp_path / "bad.json"
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, (fixture, _) in COMMANDS.items():
+            if name == "bench":
+                continue
+            original = load_json(fx(fixture))
+            for _ in range(30):
+                doc = _mutate(original, rng)
+                bad.write_text(json.dumps(doc))
+                try:
+                    codes.append(main(_argv(name, str(bad), tmp_path)))
+                except Exception as exc:
+                    pytest.fail(f"{name} raised {exc!r} on {fixture} mutated to {doc}")
+    assert set(codes) <= {0, 2, 3, 4}
+    assert 2 in codes
 
 
 def test_network_round_trip():
@@ -202,7 +298,16 @@ def test_network_round_trip():
 
 def test_validate_computation_alone():
     assert main(["validate", "--computation", fx("prodsum_cg.json")]) == 0
+    assert main(["validate", "--computation", fx("prodsum_cg.json"), "--n", "-1"]) == 2
     assert main(["validate"]) == 2
+
+
+def test_network_and_computation_need_the_same_source_count(tmp_path):
+    # fanin has four sources, the prodsum network three
+    mismatched = ["--network", fx("prodsum_net.json"), "--computation", fx("fanin_cg.json")]
+    assert main(["validate", *mismatched]) == 2
+    assert main(["solve", "--objective", "mindelay", "--method", "tree", *mismatched,
+                 "--out", str(tmp_path / "o.json")]) == 2
 
 
 def test_eval_to_stdout(capsys):

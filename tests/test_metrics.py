@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import place_roles, random_embedding, random_tree_cg
-from dagplace import fixtures as fx
+from conftest import (
+    load_embedding_fixture,
+    load_fixture,
+    place_roles,
+    random_embedding,
+    random_tree_cg,
+)
 from dagplace.errors import ValidationError
 from dagplace.metrics import (
     Embedding,
@@ -16,25 +21,28 @@ from dagplace.model import apsp, build_computation, build_network
 from dagplace.harness import random_connected_network
 
 
+E_DELAY = load_embedding_fixture("prodsum", "emb_delay")  # the minimum-delay embedding
+E_COST = load_embedding_fixture("prodsum", "emb_cost")  # the minimum-cost embedding
+E_FANIN = load_embedding_fixture("fanin", "emb")  # two source feeds share link i-j
+
+
 @pytest.fixture(scope="module")
 def prodsum():
-    cg = fx.prodsum_computation()
-    net = fx.prodsum_network()
+    cg, net = load_fixture("prodsum")
     return cg, net, apsp(net)
 
 
 @pytest.fixture(scope="module")
 def fanin():
-    cg = fx.fanin_computation()
-    net = fx.fanin_network()
+    cg, net = load_fixture("fanin")
     return cg, net, apsp(net)
 
 
 class TestCost:
     def test_reference_values(self, prodsum):
         cg, _, dm = prodsum
-        assert embedding_cost(cg, dm, fx.prodsum_delay_optimal()) == 36
-        assert embedding_cost(cg, dm, fx.prodsum_cost_optimal()) == 34
+        assert embedding_cost(cg, dm, E_DELAY) == 36
+        assert embedding_cost(cg, dm, E_COST) == 34
 
     def test_single_node_network_zero(self):
         net = build_network(1, [], sources=(0,), sink=0, allow_sink_source=True)
@@ -48,7 +56,7 @@ class TestCost:
 
         cg, net, dm = prodsum
         rng = np.random.default_rng(0)
-        e = fx.prodsum_delay_optimal()
+        e = E_DELAY
         base = embedding_cost(cg, dm, e)
         for _ in range(12):
             flipped = tuple(
@@ -81,21 +89,21 @@ class TestCost:
 class TestDelay:
     def test_reference_per_vertex(self):
         # the alternate weighting reproduces the reference intermediate delays
-        cg = fx.prodsum_computation()
-        dm = apsp(fx.prodsum_network_alt())
-        rep = embedding_delay(cg, dm, fx.prodsum_delay_optimal())
+        cg, net_alt = load_fixture("prodsum", net="net_alt")
+        dm = apsp(net_alt)
+        rep = embedding_delay(cg, dm, E_DELAY)
         assert rep.per_vertex == (0, 0, 0, 11, 11, 13, 14)
         assert rep.total == 14
-        assert embedding_delay(cg, dm, fx.prodsum_cost_optimal()).total == 16
+        assert embedding_delay(cg, dm, E_COST).total == 16
 
     def test_reference_totals_primary_weighting(self, prodsum):
         cg, _, dm = prodsum
-        assert embedding_delay(cg, dm, fx.prodsum_delay_optimal()).total == 14
-        assert embedding_delay(cg, dm, fx.prodsum_cost_optimal()).total == 16
+        assert embedding_delay(cg, dm, E_DELAY).total == 14
+        assert embedding_delay(cg, dm, E_COST).total == 16
 
     def test_fanin_delay(self, fanin):
         cg, _, dm = fanin
-        assert embedding_delay(cg, dm, fx.fanin_embedding()).total == 5
+        assert embedding_delay(cg, dm, E_FANIN).total == 5
 
     def test_sources_at_zero_and_monotone_along_paths(self, prodsum):
         cg, net, dm = prodsum
@@ -125,7 +133,7 @@ class TestDelay:
 class TestCapacityAware:
     def test_fanin_contention(self, fanin):
         cg, net, dm = fanin
-        rep, sched = capacity_aware_delay(cg, net, dm, fx.fanin_embedding())
+        rep, sched = capacity_aware_delay(cg, net, dm, E_FANIN)
         assert rep.total == 6
         shared = sched.uses[(4, 5)]  # link i-j carries both source feeds
         assert [u.edge for u in shared] == [1, 2]
@@ -207,7 +215,7 @@ class TestCapacityAware:
 class TestLinkUsage:
     def test_fanin(self, fanin):
         cg, _, dm = fanin
-        assert max_link_usage(cg, dm, fx.fanin_embedding()) == 2
+        assert max_link_usage(cg, dm, E_FANIN) == 2
 
     def test_single_edge(self):
         net = build_network(2, [(0, 1, 1.0)], sources=(0,), sink=1)
@@ -223,7 +231,7 @@ class TestLinkUsage:
 class TestValidateEmbedding:
     def test_pinning_enforced(self, prodsum):
         cg, net, _ = prodsum
-        validate_embedding(cg, net, fx.prodsum_delay_optimal())
+        validate_embedding(cg, net, E_DELAY)
         with pytest.raises(ValidationError):
             validate_embedding(cg, net, Embedding((3, 1, 2, 3, 5, 6, 7)))
         with pytest.raises(ValidationError):

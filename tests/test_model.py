@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dagplace import fixtures as fx
+from conftest import load_fixture
 from dagplace.errors import (
     DisconnectedGraph,
     DuplicateEdge,
@@ -16,16 +16,42 @@ from dagplace.errors import (
 )
 from dagplace.harness import random_binary_tree_cg, random_connected_network, random_layered_cg
 from dagplace.model import (
-    all_simple_paths,
     apsp,
     build_computation,
     build_network,
     check_tree,
     extract_path,
     infer_layering,
-    path_weight,
     validate_layering,
 )
+
+
+def all_simple_paths(net, u: int, v: int):
+    """Yield every simple u->v path; the oracle for shortest-path checks."""
+    adj = net.adjacency()
+
+    def rec(path, seen):
+        x = path[-1]
+        if x == v:
+            yield list(path)
+            return
+        for y, _ in adj[x]:
+            if y not in seen:
+                path.append(y)
+                seen.add(y)
+                yield from rec(path, seen)
+                seen.remove(y)
+                path.pop()
+
+    yield from rec([u], {u})
+
+
+def path_weight(net, path) -> float:
+    w = net.edge_weight()
+    total = 0.0
+    for a, b in itertools.pairwise(path):
+        total += w[(min(a, b), max(a, b))]
+    return total
 
 
 def chain_cg(n_net=3):
@@ -35,7 +61,7 @@ def chain_cg(n_net=3):
 
 class TestBuildNetwork:
     def test_reference_eight_node_description_is_valid(self):
-        net = fx.prodsum_network_alt()
+        _, net = load_fixture("prodsum", net="net_alt")
         assert net.n == 8
         assert sorted(w for _, _, w in net.edges) == sorted([10, 1, 2, 12, 8, 1, 10, 4, 1, 1])
 
@@ -85,12 +111,12 @@ class TestApsp:
         assert extract_path(dm, 4, 4) == [4]
 
     def test_reference_network_two_hop(self):
-        dm = apsp(fx.prodsum_network_alt())
+        dm = apsp(load_fixture("prodsum", net="net_alt")[1])
         assert dm.dist[1, 6] == 3  # s2-a-d beats s2-b-d
         assert extract_path(dm, 1, 6) == [1, 3, 6]
 
     def test_fanin_path(self):
-        dm = apsp(fx.fanin_network())
+        dm = apsp(load_fixture("fanin")[1])
         assert dm.dist[1, 6] == 3
         assert extract_path(dm, 1, 6) == [1, 4, 5, 6]  # s2-i-j-k
 
@@ -145,7 +171,7 @@ class TestApsp:
 
 class TestLayering:
     def test_prodsum_layers(self):
-        ls = infer_layering(fx.prodsum_computation())
+        ls = infer_layering(load_fixture("prodsum")[0])
         assert ls.r == 4 and ls.k == 3
         assert ls.layers() == ((0, 1, 2), (3, 4), (5,), (6,))
 
@@ -183,10 +209,10 @@ class TestLayering:
 
 class TestCheckTree:
     def test_fanin_is_tree(self):
-        assert check_tree(fx.fanin_computation())
+        assert check_tree(load_fixture("fanin")[0])
 
     def test_prodsum_is_not(self):
-        assert not check_tree(fx.prodsum_computation())
+        assert not check_tree(load_fixture("prodsum")[0])
 
     def test_single_edge(self):
         cg = build_computation(2, [(0, 1, 1.0)], (0,), 1, np.zeros((2, 2)))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import place_roles, random_tree_cg
-from dagplace import fixtures as fx
+from conftest import load_fixture, place_roles, random_tree_cg
 from dagplace.errors import BudgetExceeded
 from dagplace.harness import random_connected_network
 from dagplace.metrics import embedding_delay
@@ -27,7 +26,7 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_embeddings(cg, net)) == 3
 
     def test_prodsum_has_512(self):
-        embs = list(enumerate_embeddings(fx.prodsum_computation(), fx.prodsum_network()))
+        embs = list(enumerate_embeddings(*load_fixture("prodsum")))
         assert len(embs) == 512
         assert len({e.assignment for e in embs}) == 512
 
@@ -38,13 +37,12 @@ class TestEnumeration:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            list(enumerate_embeddings(fx.prodsum_computation(), fx.prodsum_network(),
-                                      budget=100))
+            list(enumerate_embeddings(*load_fixture("prodsum"), budget=100))
 
 
 class TestMinima:
     def test_prodsum_reference_minima(self):
-        cg, net = fx.prodsum_computation(), fx.prodsum_network()
+        cg, net = load_fixture("prodsum")
         dm = apsp(net)
         _, cost = brute_force_min_cost(cg, net, dm)
         assert cost == 34
@@ -53,11 +51,10 @@ class TestMinima:
 
     def test_sink_processing_variant_shifts_by_one(self):
         # unit sink processing adds exactly one to every embedding
-        cg0, cg1 = fx.prodsum_computation(0.0), fx.prodsum_computation(1.0)
-        net = fx.prodsum_network()
+        cg, net = load_fixture("prodsum", cg="cg_sinkproc")
         dm = apsp(net)
-        assert brute_force_min_cost(cg1, net, dm)[1] == 35
-        assert brute_force_min_delay(cg1, net, dm)[1].total == 15
+        assert brute_force_min_cost(cg, net, dm)[1] == 35
+        assert brute_force_min_delay(cg, net, dm)[1].total == 15
 
     def test_single_node_network(self):
         net = build_network(1, [], sources=(0,), sink=0, allow_sink_source=True)
@@ -68,7 +65,7 @@ class TestMinima:
         assert cost == 4
 
     def test_fanin_min_delay(self):
-        cg, net = fx.fanin_computation(), fx.fanin_network()
+        cg, net = load_fixture("fanin")
         dm = apsp(net)
         _, rep = brute_force_min_delay(cg, net, dm)
         assert rep.total == 5
@@ -93,7 +90,7 @@ class TestMinima:
             checked += 1
 
     def test_order_invariance_of_minimum(self):
-        cg, net = fx.prodsum_computation(), fx.prodsum_network()
+        cg, net = load_fixture("prodsum")
         dm = apsp(net)
         _, cost = brute_force_min_cost(cg, net, dm)
         totals = [embedding_delay(cg, dm, e).total for e in enumerate_embeddings(cg, net)]

@@ -4,8 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import place_roles
-from dagplace import fixtures as fx
+from conftest import load_fixture, place_roles
 from dagplace.errors import BudgetExceeded, DanglingEdit, ValidationError, WidthExceeded
 from dagplace.harness import random_connected_network, random_layered_cg
 from dagplace.metrics import embedding_cost
@@ -20,8 +19,7 @@ from dagplace.solver_layered import apply_perturbations, min_cost_layered
 
 
 def solve_prodsum():
-    cg = fx.prodsum_computation()
-    net = fx.prodsum_network()
+    cg, net = load_fixture("prodsum")
     dm = apsp(net)
     return cg, net, dm, min_cost_layered(cg, infer_layering(cg), net, dm)
 

@@ -4,9 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import place_roles, random_tree_cg
+from conftest import load_fixture, place_roles, random_tree_cg
 import dagplace.solver_tree
-from dagplace import fixtures as fx
 from dagplace.errors import NotATree, PreconditionViolated
 from dagplace.harness import random_connected_network
 from dagplace.metrics import embedding_delay
@@ -16,7 +15,7 @@ from dagplace.solver_tree import min_delay_collapse, min_delay_tree
 
 
 def test_fanin_optimum_is_five():
-    cg, net = fx.fanin_computation(), fx.fanin_network()
+    cg, net = load_fixture("fanin")
     dm = apsp(net)
     emb, rep = min_delay_tree(cg, net, dm)
     assert rep.total == 5
@@ -30,7 +29,7 @@ def test_chain_on_path_network():
 
 
 def test_rejects_non_tree():
-    cg, net = fx.prodsum_computation(), fx.prodsum_network()
+    cg, net = load_fixture("prodsum")
     with pytest.raises(NotATree):
         min_delay_tree(cg, net, apsp(net))
 
@@ -57,7 +56,7 @@ def test_matches_oracle_on_random_instances():
 
 @pytest.mark.parametrize("solver", [min_delay_tree, min_delay_collapse])
 def test_self_check_raises_on_wrong_total(solver, monkeypatch):
-    cg, net = fx.fanin_computation(), fx.fanin_network()
+    cg, net = load_fixture("fanin")
 
     def off_by_one(*args):
         report = embedding_delay(*args)
@@ -70,7 +69,7 @@ def test_self_check_raises_on_wrong_total(solver, monkeypatch):
 
 class TestCollapse:
     def test_fanin(self):
-        cg, net = fx.fanin_computation(), fx.fanin_network()
+        cg, net = load_fixture("fanin")
         dm = apsp(net)
         emb, rep = min_delay_collapse(cg, net, dm)
         assert rep.total == 5 == max(dm.dist[s, net.sink] for s in net.sources)
@@ -83,7 +82,7 @@ class TestCollapse:
         assert rep.total == 7
 
     def test_precondition_enforced(self):
-        cg, net = fx.prodsum_computation(), fx.prodsum_network()
+        cg, net = load_fixture("prodsum")
         with pytest.raises(PreconditionViolated):
             min_delay_collapse(cg, net, apsp(net))
         weighted = build_computation(

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import place_roles
-from dagplace import fixtures as fx
+from conftest import load_decomposition_fixture, load_fixture, place_roles
 from dagplace.errors import BudgetExceeded, InvalidDecomposition
 from dagplace.harness import random_connected_network, random_layered_cg
 from dagplace.metrics import embedding_cost
@@ -22,7 +21,7 @@ from dagplace.solver_treewidth import (
 
 class TestLayeredPathDecomposition:
     def test_prodsum_bags(self):
-        cg = fx.prodsum_computation()
+        cg, _ = load_fixture("prodsum")
         td = layered_path_decomposition(infer_layering(cg), cg)
         assert td.bags == ((0, 1, 2, 3, 4), (3, 4, 5), (5, 6))
         assert td.width == 4
@@ -53,12 +52,13 @@ class TestLayeredPathDecomposition:
 
 class TestMinFill:
     def test_loop_schema_width_two(self):
-        td = min_fill_decomposition(fx.loop_computation())
+        cg, _ = load_fixture("loop")
+        td = min_fill_decomposition(cg)
         assert td.width == 2
-        check_decomposition(fx.loop_computation(), td.bags, td.tree_edges)
+        check_decomposition(cg, td.bags, td.tree_edges)
 
     def test_tree_width_one(self):
-        assert min_fill_decomposition(fx.fanin_computation()).width == 1
+        assert min_fill_decomposition(load_fixture("fanin")[0]).width == 1
 
     def test_triangle_width_two_and_no_width_one_exists(self):
         tri = build_computation(
@@ -106,9 +106,9 @@ def _all_trees(count):
 
 class TestMinCostTreewidth:
     def test_loop_schema_matches_brute_force(self):
-        cg, net = fx.loop_computation(), fx.loop_network()
+        cg, net = load_fixture("loop")
         dm = apsp(net)
-        td = fx.loop_decomposition(cg)
+        td = load_decomposition_fixture("loop")
         emb, cost = min_cost_treewidth(cg, td, net, dm)
         best = min(
             embedding_cost(cg, dm, e)
@@ -120,8 +120,7 @@ class TestMinCostTreewidth:
         assert cost2 == best
 
     def test_single_bag_equals_enumeration(self):
-        cg = fx.prodsum_computation()
-        net = fx.prodsum_network()
+        cg, net = load_fixture("prodsum")
         dm = apsp(net)
         td = make_decomposition(cg, [tuple(range(7))], [])
         emb, cost = min_cost_treewidth(cg, td, net, dm)
@@ -172,8 +171,7 @@ class TestMinCostTreewidth:
             checked += 1
 
     def test_budget_counts_free_cells_only(self):
-        cg = fx.prodsum_computation()
-        net = fx.prodsum_network()
+        cg, net = load_fixture("prodsum")
         dm = apsp(net)
         td = make_decomposition(cg, [tuple(range(7))], [])
         budget = net.n ** 3  # vertices 3, 4 and 5 are free; n**7 cells would not fit
@@ -183,8 +181,7 @@ class TestMinCostTreewidth:
             min_cost_treewidth(cg, td, net, dm, budget=budget - 1)
 
     def test_budget_guard(self):
-        cg = fx.prodsum_computation()
-        net = fx.prodsum_network()
+        cg, net = load_fixture("prodsum")
         td = make_decomposition(cg, [tuple(range(7))], [])
         with pytest.raises(BudgetExceeded):
             min_cost_treewidth(cg, td, net, apsp(net), budget=10)
@@ -205,9 +202,55 @@ def _cyclic_embeddings(cg, net):
         yield Embedding(tuple(asg))
 
 
+def _nearest_bag_homes(cg, td):
+    """Home bags by brute force: the bag nearest the root holding the vertex
+    (both ends of the edge), ties to the smaller index."""
+    children = td.children()
+    depth = {td.root: 0}
+    stack = [td.root]
+    while stack:
+        b = stack.pop()
+        for c in children[b]:
+            depth[c] = depth[b] + 1
+            stack.append(c)
+
+    def nearest(holds):
+        return min((i for i, bag in enumerate(td.bags) if holds(bag)), key=lambda i: (depth[i], i))
+
+    vertex = tuple(nearest(lambda bag, w=w: w in bag) for w in range(cg.p))
+    edge = tuple(nearest(lambda bag, a=a, b=b: a in bag and b in bag) for a, b, _ in cg.edges)
+    return vertex, edge
+
+
+def _random_decompositions(rng, count):
+    """Min-fill and layered path decompositions, each also with its bags
+    shuffled and extra leaf bags (subsets of a random bag) hung on."""
+    while count > 0:
+        n = int(rng.integers(2, 5))
+        cg, ls = random_layered_cg(int(rng.integers(2, 6)), 3, n, rng)
+        for td in (min_fill_decomposition(cg), layered_path_decomposition(ls, cg)):
+            bags, edges = [list(b) for b in td.bags], [list(e) for e in td.tree_edges]
+            for _ in range(int(rng.integers(0, 4))):
+                host = int(rng.integers(0, len(bags)))
+                bags.append([w for w in bags[host] if rng.random() < 0.6])
+                edges.append([host, len(bags) - 1])
+            perm = [int(i) for i in rng.permutation(len(bags))]
+            bags = [bags[perm.index(i)] for i in range(len(bags))]
+            edges = [[perm[a], perm[b]] for a, b in edges]
+            yield cg, td
+            yield cg, make_decomposition(cg, bags, edges)
+            count -= 1
+
+
 class TestDecompositionValidation:
+    def test_homes_match_nearest_bag(self):
+        for cg, td in _random_decompositions(np.random.default_rng(33), 60):
+            assert td.root == min(i for i, bag in enumerate(td.bags) if cg.sink in bag)
+            assert (td.vertex_home, td.edge_home) == _nearest_bag_homes(cg, td)
+
+
     def test_missing_edge_coverage(self):
-        cg = fx.prodsum_computation()
+        cg, _ = load_fixture("prodsum")
         with pytest.raises(InvalidDecomposition):
             check_decomposition(cg, [(0, 1, 2, 3, 4), (5, 6)], [(0, 1)])
 
