@@ -3,7 +3,7 @@
 File formats (all JSON, unknown fields rejected):
 
 * network:      {"nodes": [names...], "edges": [[u, v, weight]...],
-                 "sources": [names...], "sink": name}
+                 "sources": [names...], "sink": name, "allow_sink_source": bool?}
 * computation:  {"nodes": [...], "edges": [[u, v, weight]...], "sources": [...],
                  "sink": name, "processing": P, "allow_cycles": bool?}
                 where P is either {"default": x, "overrides": [[vertex, node, value]...]}
@@ -21,28 +21,23 @@ File formats (all JSON, unknown fields rejected):
 * experiment config: {"n": int, "p_r_grid": [float...], "instances": int,
                  "placements": int, "p": int, "master_seed": int} plus the
                  optional knobs of ExperimentConfig.
+* state:        {"format_version": 3, "network": {...}, "computation": {...},
+                 "layer": [int...]}: the inputs of a layered solve and each
+                 vertex's layer, written by ``--state-out``.
 
 The document parsers (the ``from_json`` constructors, ``load_embedding``,
-``load_edits``, ``load_decomposition`` and ``load_experiment_config``) check
-each document's shape (lists, arities, name strings, number types) before
-using it, so a wrong-shaped document exits 2 with one ``error:`` line, never a
-traceback.
-
-Solver state files are pickles of a versioned dict (format 2) carrying the
-network, the computation graph, the name tables and the ``LayeredDPState`` of
-the layered solve, so ``perturb`` is self-contained.  The state's ``h[i]`` is
-the (min, argmin) message that bag i of the layered path decomposition
-(layers i+1 and i+2) sends to bag i+1: numpy arrays with one axis per unpinned
-vertex of layer i+2 in increasing vertex-id order, the argmin being a C-order
-flat index over the unpinned vertices of layer i+1.  Exit codes: 0 ok,
-2 validation error, 3 budget exceeded, 4 solver precondition failure.
+``load_edits``, ``load_decomposition``, ``load_experiment_config`` and
+``load_state``) check each document's shape (lists, arities, name strings,
+number types) before using it, so a wrong-shaped document exits 2 with one
+``error:`` line, never a traceback.  A state file holds no solver tables, so
+loading one runs no code; ``perturb`` re-solves it to rebuild them.  Exit
+codes: 0 ok, 2 validation error, 3 budget exceeded, 4 solver precondition failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
 
 import numpy as np
@@ -66,6 +61,7 @@ from .metrics import (
 )
 from .model import (
     ComputationGraph,
+    LayeredStructure,
     NetworkGraph,
     apsp,
     build_computation,
@@ -83,7 +79,7 @@ from .solver_treewidth import (
     min_fill_decomposition,
 )
 
-STATE_FORMAT_VERSION = 2
+STATE_FORMAT_VERSION = 3
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -179,12 +175,15 @@ class NetworkDoc:
         return cls(list(doc["nodes"]), net)
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "nodes": self.names,
             "edges": [[self.names[u], self.names[v], w] for u, v, w in self.net.edges],
             "sources": [self.names[s] for s in self.net.sources],
             "sink": self.names[self.net.sink],
         }
+        if self.net.sink in self.net.sources:
+            doc["allow_sink_source"] = True
+        return doc
 
 
 class ComputationDoc:
@@ -245,6 +244,16 @@ class ComputationDoc:
             require_dag=not bool(doc.get("allow_cycles", False)),
         )
         return cls(list(doc["nodes"]), cg)
+
+    def to_json(self) -> dict:
+        return {
+            "nodes": self.names,
+            "edges": [[self.names[a], self.names[b], lam] for a, b, lam in self.cg.edges],
+            "sources": [self.names[s] for s in self.cg.sources],
+            "sink": self.names[self.cg.sink],
+            "processing": {"matrix": self.cg.processing.tolist()},
+            "allow_cycles": not self.cg.is_dag,
+        }
 
 
 def load_json(path: str):
@@ -362,37 +371,30 @@ def load_edits(doc: dict, cdoc: ComputationDoc):
 
 
 def save_state(path, state, ndoc: NetworkDoc, cdoc: ComputationDoc) -> None:
-    blob = {
+    """Write the inputs of the layered solve ``state`` as a state document."""
+    _write_json(path, {
         "format_version": STATE_FORMAT_VERSION,
         "network": ndoc.to_json(),
-        "computation_names": cdoc.names,
-        "computation_edges": cdoc.cg.edges,
-        "computation_sources": cdoc.cg.sources,
-        "computation_sink": cdoc.cg.sink,
-        "processing": np.asarray(cdoc.cg.processing),
-        "state": state,
-    }
-    with open(path, "wb") as f:
-        pickle.dump(blob, f)
+        "computation": cdoc.to_json(),
+        "layer": list(state.layer),
+    })
 
 
-def load_state(path):
-    with open(path, "rb") as f:
-        blob = pickle.load(f)
-    if blob.get("format_version") != STATE_FORMAT_VERSION:
-        raise ValidationError(
-            f"state file format {blob.get('format_version')!r} unsupported"
-        )
-    ndoc = NetworkDoc.from_json(blob["network"])
-    cg = build_computation(
-        len(blob["computation_names"]),
-        blob["computation_edges"],
-        blob["computation_sources"],
-        blob["computation_sink"],
-        blob["processing"],
-    )
-    cdoc = ComputationDoc(blob["computation_names"], cg)
-    return blob["state"], ndoc, cdoc
+def load_state(path) -> tuple[NetworkDoc, ComputationDoc, LayeredStructure]:
+    """(network, computation, layering) of a state document."""
+    doc = load_json(path)
+    _require_fields(doc, ("format_version", "network", "computation", "layer"),
+                    what="state")
+    if doc["format_version"] != STATE_FORMAT_VERSION:
+        raise ValidationError(f"state file format {doc['format_version']!r} unsupported")
+    ndoc = NetworkDoc.from_json(doc["network"])
+    cdoc = ComputationDoc.from_json(doc["computation"], ndoc.net.n)
+    _check_sources(ndoc, cdoc)
+    p = cdoc.cg.p
+    layer = _list(doc["layer"], "state: 'layer'")
+    if len(layer) != p or not all(_is_int(x) and 1 <= x <= p for x in layer):
+        raise ValidationError(f"state: 'layer' must hold {p} layer numbers in 1..{p}")
+    return ndoc, cdoc, LayeredStructure.from_layer(layer)
 
 
 def _write_json(path, doc) -> None:
@@ -501,9 +503,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    state, ndoc, cdoc = load_state(args.state)
+    ndoc, cdoc, ls = load_state(args.state)
     edits, cdoc2 = load_edits(load_json(args.edits), cdoc)
     dm = apsp(ndoc.net)
+    # rebuild the messages apply_perturbations reuses; --budget judges the
+    # re-plan, as a state file's solve already passed a budget of its own
+    budget = max(args.budget, DEFAULT_TABLE_BUDGET)
+    _, _, state = min_cost_layered(cdoc.cg, ls, ndoc.net, dm, budget=budget)
     emb, cost, new_state = apply_perturbations(state, cdoc2.cg, edits, dm,
                                                budget=args.budget)
     _write_json(args.out, embedding_to_json(emb, cdoc2, ndoc, cost=cost))
@@ -619,10 +625,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValidationError, OSError, json.JSONDecodeError, pickle.UnpicklingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DagplaceError as exc:
+    except (DagplaceError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

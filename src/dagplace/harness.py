@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxResamplesExceeded
+from .errors import MaxResamplesExceeded, ValidationError
 from .metrics import embedding_delay, max_link_usage
 from .model import (
     ComputationGraph,
@@ -268,6 +268,8 @@ def experiment_link_usage(cfg: ExperimentConfig) -> StatsTable:
     disconnected past the resample limit are discarded and counted out of the
     ``trials`` column.
     """
+    if cfg.p < 3 or cfg.p - cfg.p // 2 >= cfg.n:  # p - p//2 leaves (sources) and the sink
+        raise ValidationError(f"link-usage needs 3 <= p and p - p//2 < n, got p={cfg.p}, n={cfg.n}")
     rows = []
     for gi, p_r in enumerate(cfg.p_r_grid):
         values = [v for inst in range(cfg.instances) for v in _usage_trials(cfg, gi, inst)]
@@ -286,6 +288,9 @@ def experiment_k2_gap(cfg: ExperimentConfig) -> StatsTable:
     Each instance is a random layered graph with unit edge weights embedded in
     a random unit-weight network; the row reports the ratio and the k*k bound.
     """
+    if cfg.layers < 2 or not 1 <= cfg.width < cfg.n or not cfg.p_r_grid:
+        raise ValidationError(f"k2-gap needs 2 <= layers, 1 <= width < n and a p_r_grid value,"
+                              f" got layers={cfg.layers}, width={cfg.width}, n={cfg.n}")
     rows = []
     for inst in range(cfg.instances):
         rng = _rng(cfg.master_seed, inst)

@@ -90,12 +90,6 @@ class ComputationGraph:
             pre[b].append(a)
         return tuple(tuple(x) for x in pre)
 
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        suc: list[list[int]] = [[] for _ in range(self.p)]
-        for a, b, _ in self.edges:
-            suc[a].append(b)
-        return tuple(tuple(x) for x in suc)
-
     def topological_order(self) -> tuple[int, ...]:
         if self._topo is None:
             raise CyclicGraph("computation graph is not acyclic")
@@ -137,6 +131,12 @@ class LayeredStructure:
     layer: tuple[int, ...]
     r: int
     k: int
+
+    @classmethod
+    def from_layer(cls, layer) -> "LayeredStructure":
+        """The structure of a labelling: r is its deepest layer, k its widest."""
+        layer = tuple(layer)
+        return cls(layer, r=max(layer), k=max(map(layer.count, set(layer))))
 
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """Vertices of each layer, ordered by vertex id; index 0 is layer 1."""
@@ -425,10 +425,7 @@ def infer_layering(cg: ComputationGraph) -> LayeredStructure:
     at_last = [v for v in range(cg.p) if layer[v] == r]
     if at_last != [cg.sink]:
         raise SinkNotLast(f"layer {r} holds {at_last}, expected the sink alone")
-    widths = [0] * r
-    for l in layer:
-        widths[l - 1] += 1
-    return LayeredStructure(layer=tuple(layer), r=r, k=max(widths))
+    return LayeredStructure.from_layer(layer)
 
 
 def validate_layering(cg: ComputationGraph, ls: LayeredStructure) -> None:

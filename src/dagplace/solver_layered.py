@@ -137,14 +137,9 @@ def apply_perturbations(
     if any(l == 0 for l in layer):
         raise DanglingEdit("a new vertex was added without any edit naming it")
 
-    r = state.r
-    widths = [0] * r
-    for l in layer:
-        widths[l - 1] += 1
-    if max(widths) > state.k:
-        raise WidthExceeded(f"widths {widths} exceed the original bound k={state.k}")
-
-    ls2 = LayeredStructure(layer=tuple(layer), r=r, k=max(widths))
+    ls2 = LayeredStructure.from_layer(layer)
+    if ls2.k > state.k:
+        raise WidthExceeded(f"a layer of {ls2.k} vertices exceeds the original bound k={state.k}")
     validate_layering(cg2, ls2)
     pinned = dict(state.pinned)
     if any(s not in pinned for s in cg2.sources) or cg2.sink not in pinned:

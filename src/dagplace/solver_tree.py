@@ -24,10 +24,9 @@ def min_delay_tree(
         raise NotATree("every non-sink vertex must have out-degree exactly 1")
     n = net.n
     d = dm.dist
-    suc = cg.successors()
+    out_edge = {a: (b, lam) for a, b, lam in cg.edges}  # a non-sink vertex has one
     pre = cg.predecessors()
     order = cg.topological_order()
-    src = set(cg.sources)
     src_image = {w: net.sources[i] for i, w in enumerate(cg.sources)}
 
     h: dict[int, np.ndarray] = {}
@@ -35,8 +34,8 @@ def min_delay_tree(
     for w in order:
         if w == cg.sink:
             continue
-        lam = next(l for a, b, l in cg.edges if a == w)
-        if w in src:
+        lam = out_edge[w][1]
+        if w in src_image:
             h[w] = lam * d[src_image[w]]
             x[w] = np.full(n, src_image[w], dtype=np.int64)
         else:
@@ -56,7 +55,7 @@ def min_delay_tree(
     for w in reversed(order):
         if w == cg.sink:
             continue
-        asg[w] = int(x[w][asg[suc[w][0]]])
+        asg[w] = int(x[w][asg[out_edge[w][0]]])
     e = Embedding(assignment=tuple(asg))
     report = embedding_delay(cg, dm, e)
     _check_total(report.total, total, "DP optimum")

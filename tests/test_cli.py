@@ -1,12 +1,16 @@
 import copy
 import json
+import pickle
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import fixture_path as fx
-from dagplace.cli import NetworkDoc, load_json, main
+from dagplace.cli import ComputationDoc, NetworkDoc, load_edits, load_json, main
+from dagplace.model import LayeredStructure, apsp
+from dagplace.solver_layered import min_cost_layered
 
 
 def test_solve_layered_prodsum(tmp_path):
@@ -96,7 +100,7 @@ def test_eval_capdelay_fanin(tmp_path):
 
 
 def test_perturb_round_trip(tmp_path):
-    state = tmp_path / "state.bin"
+    state = tmp_path / "state.json"
     emb = tmp_path / "emb.json"
     code = main([
         "solve", "--objective", "mincost", "--method", "layered",
@@ -105,7 +109,7 @@ def test_perturb_round_trip(tmp_path):
     ])
     assert code == 0
     out = tmp_path / "emb2.json"
-    state2 = tmp_path / "state2.bin"
+    state2 = tmp_path / "state2.json"
     code = main([
         "perturb", "--state", str(state), "--edits", fx("prodsum_edits.json"),
         "--out", str(out), "--state-out", str(state2),
@@ -163,8 +167,8 @@ def test_exit_codes(tmp_path):
 
 
 # name -> (bundled document, a command line that reads it); BAD stands for the
-# document under test, other *.json words for bundled files, STATE for a
-# stored layered solve of prodsum and OUT for an output file
+# document under test, other *.json words for bundled files, STATE for the
+# state file of a layered solve of prodsum and OUT for an output file
 COMMANDS = {
     "perturb": ("prodsum_edits.json", "perturb --state STATE --edits BAD --out OUT"),
     "eval": ("prodsum_emb_delay.json", "eval --metric cost --network prodsum_net.json"
@@ -187,22 +191,39 @@ COMMANDS = {
     "treewidth-cg": ("loop_cg.json", "solve --objective mincost --method treewidth"
                      " --network loop_net.json --computation BAD --decomposition loop_td.json"
                      " --out OUT"),
+    "perturb-state": ("STATE", "perturb --state BAD --edits prodsum_edits.json --out OUT"),
     "bench": ("bench_k2_desk.json", "bench k2-gap --config BAD --csv OUT"),
+    "bench-link-usage": ("bench_link_usage_desk.json", "bench link-usage --config BAD --csv OUT"),
 }
 
 
-def _argv(name: str, bad: str, tmp_path) -> list[str]:
-    state = tmp_path / "state.bin"
-    if "STATE" in COMMANDS[name][1] and not state.exists():
+def _state(tmp_path, net: str = fx("prodsum_net.json")) -> str:
+    """The state file of a layered solve of prodsum on ``net``, written on first use."""
+    state = tmp_path / "state.json"
+    if not state.exists():
         assert main(["solve", "--objective", "mincost", "--method", "layered",
-                     "--network", fx("prodsum_net.json"), "--computation", fx("prodsum_cg.json"),
+                     "--network", net, "--computation", fx("prodsum_cg.json"),
                      "--out", str(tmp_path / "solved.json"), "--state-out", str(state)]) == 0
-    words = {"BAD": bad, "STATE": str(state), "OUT": str(tmp_path / "out")}
+    return str(state)
+
+
+def _argv(name: str, bad: str, tmp_path) -> list[str]:
+    words = {"BAD": bad, "OUT": str(tmp_path / "out")}
+    if "STATE" in COMMANDS[name][1]:
+        words["STATE"] = _state(tmp_path)
     return [words.get(w, fx(w) if w.endswith(".json") else w) for w in COMMANDS[name][1].split()]
 
 
 def _with(fixture, **fields):
     return dict(load_json(fx(fixture)), **fields)
+
+
+def _one_error_line(argv, capsys) -> int:
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -223,15 +244,17 @@ def _with(fixture, **fields):
     ("bench", _with("bench_k2_desk.json", p_r_grid=0.5)),
     ("bench", _with("bench_k2_desk.json", instances=0)),
     ("bench", _with("bench_k2_desk.json", n=1)),
+    ("bench-link-usage", _with("bench_link_usage_desk.json", p=2)),
+    ("bench-link-usage", _with("bench_link_usage_desk.json", n=3, p=9)),
+    ("bench", _with("bench_k2_desk.json", layers=0)),
+    ("bench", _with("bench_k2_desk.json", width=0)),
+    ("bench", _with("bench_k2_desk.json", p_r_grid=[])),
+    ("bench", _with("bench_k2_desk.json", n=2, width=4)),
 ])
 def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    argv = _argv(command, str(bad), tmp_path)
-    capsys.readouterr()
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _one_error_line(_argv(command, str(bad), tmp_path), capsys) == 2
 
 
 WRONG_TYPES = (5, "x", [], {}, None)
@@ -276,9 +299,9 @@ def test_fuzzed_documents_never_raise(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name, (fixture, _) in COMMANDS.items():
-            if name == "bench":
+            if name.startswith("bench"):
                 continue
-            original = load_json(fx(fixture))
+            original = load_json(_state(tmp_path) if fixture == "STATE" else fx(fixture))
             for _ in range(30):
                 doc = _mutate(original, rng)
                 bad.write_text(json.dumps(doc))
@@ -290,10 +313,115 @@ def test_fuzzed_documents_never_raise(tmp_path):
     assert 2 in codes
 
 
+def _sink_source_network() -> dict:
+    return _with("prodsum_net.json", sink="s1", allow_sink_source=True)
+
+
 def test_network_round_trip():
-    doc = load_json(fx("prodsum_net.json"))
-    nd = NetworkDoc.from_json(doc)
-    assert nd.to_json() == doc
+    for doc in (load_json(fx("prodsum_net.json")), _sink_source_network()):
+        nd = NetworkDoc.from_json(doc)
+        assert nd.to_json() == doc
+
+
+@pytest.mark.parametrize("name, net", [
+    ("prodsum_cg", "prodsum_net"), ("prodsum_cg_sinkproc", "prodsum_net"),
+    ("fanin_cg", "fanin_net"), ("ladder_cg", "ladder_net"), ("loop_cg", "loop_net"),
+])
+def test_computation_round_trip(name, net):
+    n = NetworkDoc.from_json(load_json(fx(f"{net}.json"))).net.n
+    cdoc = ComputationDoc.from_json(load_json(fx(f"{name}.json")), n)
+    again = ComputationDoc.from_json(json.loads(json.dumps(cdoc.to_json())), n)
+    assert again.names == cdoc.names
+    a, b = again.cg, cdoc.cg
+    assert (a.edges, a.sources, a.sink, a.is_dag) == (b.edges, b.sources, b.sink, b.is_dag)
+    assert np.array_equal(a.processing, b.processing)
+
+
+def test_perturb_state_of_a_sink_source_network(tmp_path):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(_sink_source_network()))
+    assert main(["perturb", "--state", _state(tmp_path, str(net)),
+                 "--edits", fx("prodsum_edits.json"), "--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_chained_perturb_equals_a_fresh_solve(tmp_path):
+    state2 = tmp_path / "state2.json"
+    edits2 = {"adds": [{"edge": ["sum23", "tap2", 2.0], "layer": 3},
+                       {"edge": ["sum12", "tap", 0.5], "layer": 2}]}
+    (tmp_path / "edits2.json").write_text(json.dumps(edits2))
+    assert main(["perturb", "--state", _state(tmp_path), "--edits", fx("prodsum_edits.json"),
+                 "--out", str(tmp_path / "emb1.json"), "--state-out", str(state2)]) == 0
+    assert main(["perturb", "--state", str(state2), "--edits", str(tmp_path / "edits2.json"),
+                 "--out", str(tmp_path / "emb2.json")]) == 0
+    chained = load_json(str(tmp_path / "emb2.json"))
+
+    ndoc = NetworkDoc.from_json(load_json(fx("prodsum_net.json")))
+    cdoc = ComputationDoc.from_json(load_json(fx("prodsum_cg.json")), ndoc.net.n)
+    _, cdoc = load_edits(load_json(fx("prodsum_edits.json")), cdoc)
+    _, cdoc = load_edits(edits2, cdoc)
+    # x1 x2 x3 sum12 sum23 prod out tap tap2
+    ls = LayeredStructure(layer=(1, 1, 1, 2, 2, 3, 4, 3, 3), r=4, k=3)
+    emb, cost, _ = min_cost_layered(cdoc.cg, ls, ndoc.net, apsp(ndoc.net))
+    assert chained["cost"] == cost
+    assert chained["map"] == {cdoc.names[w]: ndoc.names[v] for w, v in enumerate(emb.assignment)}
+
+
+class _CreatesMarker:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def test_unpickling_state_file_runs_no_code(tmp_path, capsys):
+    marker = tmp_path / "marker"
+    state = tmp_path / "state.bin"
+    state.write_bytes(pickle.dumps({"format_version": 2, "state": _CreatesMarker(str(marker))}))
+    argv = ["perturb", "--state", str(state), "--edits", fx("prodsum_edits.json"),
+            "--out", str(tmp_path / "out.json")]
+    assert _one_error_line(argv, capsys) == 2
+    assert not marker.exists()
+
+
+def test_broken_state_files_exit_2(tmp_path, capsys):
+    good = load_json(_state(tmp_path))
+    text = json.dumps(good)
+    p = len(good["layer"])
+    broken = {
+        "empty": b"",
+        "truncated": text[: len(text) // 2].encode(),
+        "binary": bytes(range(256)),
+        "format-2 pickle": pickle.dumps({"format_version": 2, "network": good["network"]}),
+        "format 2": json.dumps(dict(good, format_version=2)).encode(),
+        "short layer": json.dumps(dict(good, layer=good["layer"][:-1])).encode(),
+        "string layer": json.dumps(dict(good, layer=["1"] * p)).encode(),
+        "layer past p": json.dumps(dict(good, layer=good["layer"][:-1] + [p + 1])).encode(),
+        "sources": json.dumps(dict(good, network=dict(good["network"], sources=["s1"]))).encode(),
+    }
+    bad = tmp_path / "bad"
+    argv = ["perturb", "--state", str(bad), "--edits", fx("prodsum_edits.json"),
+            "--out", str(tmp_path / "out.json")]
+    for what, data in broken.items():
+        bad.write_bytes(data)
+        assert _one_error_line(argv, capsys) == 2, what
+    # well-typed, but not a layering of the computation
+    bad.write_text(json.dumps(dict(good, layer=[1] * p)))
+    assert _one_error_line(argv, capsys) == 4
+
+
+def test_perturb_budget_judges_the_replan(tmp_path, capsys):
+    (tmp_path / "none.json").write_text(json.dumps({"adds": []}))
+    argv = ["perturb", "--state", _state(tmp_path), "--out", str(tmp_path / "o.json"),
+            "--budget", "1", "--edits"]
+    assert main(argv + [str(tmp_path / "none.json")]) == 0  # nothing to re-plan
+    assert _one_error_line(argv + [fx("prodsum_edits.json")], capsys) == 3
+
+
+def test_binary_network_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "net.bin"
+    bad.write_bytes(bytes(range(256)))
+    assert _one_error_line(["validate", "--network", str(bad)], capsys) == 2
 
 
 def test_validate_computation_alone():
