@@ -32,6 +32,7 @@ number types) before using it, so a wrong-shaped document exits 2 with one
 ``error:`` line, never a traceback.  A state file holds no solver tables, so
 loading one runs no code; ``perturb`` re-solves it to rebuild them.  Exit
 codes: 0 ok, 2 validation error, 3 budget exceeded, 4 solver precondition failure.
+A warning that the active filters let through is one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -617,17 +619,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (DagplaceError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with warnings.catch_warnings():
+        # only the format changes: the caller's filters still decide what shows
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except BudgetExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except PreconditionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        except (DagplaceError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -130,11 +130,17 @@ def capacity_aware_delay(
 ) -> tuple[DelayReport, LinkSchedule]:
     """Delay when every link carries one intermediate result at a time.
 
-    Each computation edge is routed along its shortest path and queues at each
-    link behind earlier arrivals (ties broken by computation-edge index).  By
-    default the two directions of a link share one FIFO; ``per_direction``
-    gives each direction its own.  A vertex fires once the data of all its
+    Each computation edge is routed along its shortest path and crosses its
+    links in turn, queueing at a busy link.  By default the two directions of
+    a link share one queue; ``per_direction`` gives each direction its own.
+    Sources fire at time zero and a non-source without inputs at its
+    processing time; any other vertex fires once the data of all its
     incoming edges has fully arrived, after its processing time.
+
+    Ties follow one exact rule.  Events run in (time, finishes before
+    arrivals, link, edge) order, so a link freed at time t takes an edge that
+    arrives at t, and each link serves its waiting edges by (arrival time,
+    computation-edge index).
     """
     paths = route_edges(cg, dm, e)
     weight = net.edge_weight()
@@ -143,68 +149,47 @@ def capacity_aware_delay(
         base = (min(a, b), max(a, b))
         return base + ((0 if a < b else 1,) if per_direction else ())
 
-    ine = cg.in_edges()
-    pending = [len(ine[w]) for w in range(cg.p)]
+    out: list[list[int]] = [[] for _ in range(cg.p)]  # out-edge indices, ascending
+    pending = [0] * cg.p  # inputs still in flight
+    for idx, (a, b, _) in enumerate(cg.edges):
+        out[a].append(idx)
+        pending[b] += 1
     latest = [0.0] * cg.p
-    fired = [False] * cg.p
     fire_time = [0.0] * cg.p
     segment = [0] * cg.q  # index of the path segment each edge sits at
 
-    waiting: dict[tuple, list[tuple[float, int]]] = {}
-    busy: dict[tuple, bool] = {}
+    waiting: dict[tuple, list[tuple[float, int]]] = {}  # heap of (arrival, edge) per link
+    busy: set[tuple] = set()
     log: dict[tuple[int, int], list[LinkUse]] = {}
-
     events: list[tuple[float, int, tuple, int]] = []  # (time, kind, link, edge)
 
     def fire(w: int, t: float) -> None:
-        fired[w] = True
         fire_time[w] = float(t)
-        for idx, (a, b, _) in enumerate(cg.edges):
-            if a != w:
-                continue
-            if len(paths[idx]) < 2:
+        for idx in out[w]:
+            path = paths[idx]
+            if len(path) < 2:
                 deliver(idx, t)
             else:
-                key = link_key(paths[idx][0], paths[idx][1])
-                heapq.heappush(events, (t, _ARRIVE, key, idx))
+                heapq.heappush(events, (t, _ARRIVE, link_key(path[0], path[1]), idx))
 
     def deliver(idx: int, t: float) -> None:
         head = cg.edges[idx][1]
         latest[head] = max(latest[head], t)
         pending[head] -= 1
-        if pending[head] == 0 and not fired[head]:
+        if pending[head] == 0:
             fire(head, latest[head] + cg.processing[head, e.assignment[head]])
 
-    def start_next(key: tuple, now: float) -> None:
-        q = waiting.get(key)
-        if busy.get(key) or not q:
-            return
-        q.sort()
-        arrival, idx = q.pop(0)
-        busy[key] = True
-        path = paths[idx]
-        a, b = path[segment[idx]], path[segment[idx] + 1]
-        span = weight[(min(a, b), max(a, b))] * cg.edges[idx][2]
-        depart = max(now, arrival) + span
-        log.setdefault((min(a, b), max(a, b)), []).append(
-            LinkUse(edge=idx, tail=a, head=b, arrival=arrival, departure=depart)
-        )
-        heapq.heappush(events, (depart, _FINISH, key, idx))
-
+    # taken before any firing: deliveries fire every other vertex
     src = set(cg.sources)
-    for w in cg.topological_order():
-        if w in src:
-            fire(w, 0.0)
-        elif pending[w] == 0 and not fired[w]:
-            fire(w, cg.processing[w, e.assignment[w]])
+    for w in [w for w in cg.topological_order() if pending[w] == 0]:
+        fire(w, 0.0 if w in src else cg.processing[w, e.assignment[w]])
 
     while events:
         t, kind, key, idx = heapq.heappop(events)
         if kind == _ARRIVE:
-            waiting.setdefault(key, []).append((t, idx))
-            start_next(key, t)
+            heapq.heappush(waiting.setdefault(key, []), (t, idx))
         else:
-            busy[key] = False
+            busy.discard(key)
             segment[idx] += 1
             path = paths[idx]
             if segment[idx] < len(path) - 1:
@@ -212,7 +197,18 @@ def capacity_aware_delay(
                 heapq.heappush(events, (t, _ARRIVE, nxt, idx))
             else:
                 deliver(idx, t)
-            start_next(key, t)
+        q = waiting.get(key)
+        if key in busy or not q:
+            continue
+        arrival, idx = heapq.heappop(q)
+        busy.add(key)
+        a, b = paths[idx][segment[idx]], paths[idx][segment[idx] + 1]
+        link = (min(a, b), max(a, b))
+        depart = max(t, arrival) + weight[link] * cg.edges[idx][2]
+        log.setdefault(link, []).append(
+            LinkUse(edge=idx, tail=a, head=b, arrival=arrival, departure=depart)
+        )
+        heapq.heappush(events, (depart, _FINISH, key, idx))
 
     report = DelayReport(per_vertex=tuple(float(t) for t in fire_time),
                          total=float(fire_time[cg.sink]))

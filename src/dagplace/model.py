@@ -414,18 +414,9 @@ def infer_layering(cg: ComputationGraph) -> LayeredStructure:
     for v in topo:
         if pre[v]:
             layer[v] = max(layer[u] for u in pre[v]) + 1
-    for a, b, _ in cg.edges:
-        if layer[b] - layer[a] > 1:
-            raise NotLayered(
-                f"edge ({a},{b}) spans layers {layer[a]}..{layer[b]}"
-            )
-    r = max(layer)
-    if layer[cg.sink] != r:
-        raise SinkNotLast(f"sink at layer {layer[cg.sink]} but depth is {r}")
-    at_last = [v for v in range(cg.p) if layer[v] == r]
-    if at_last != [cg.sink]:
-        raise SinkNotLast(f"layer {r} holds {at_last}, expected the sink alone")
-    return LayeredStructure.from_layer(layer)
+    ls = LayeredStructure.from_layer(layer)
+    validate_layering(cg, ls)
+    return ls
 
 
 def validate_layering(cg: ComputationGraph, ls: LayeredStructure) -> None:

@@ -366,6 +366,18 @@ def test_chained_perturb_equals_a_fresh_solve(tmp_path):
     assert chained["map"] == {cdoc.names[w]: ndoc.names[v] for w, v in enumerate(emb.assignment)}
 
 
+def test_warning_is_one_stderr_line(tmp_path, capsys):
+    argv = ["perturb", "--state", _state(tmp_path), "--edits", fx("prodsum_edits.json"),
+            "--out", str(tmp_path / "emb.json")]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # undo the suite's filter for the off-path warning
+        assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: vertices [7] lie on no source-to-sink path\ncost = 34.0\n"
+    )
+
+
 class _CreatesMarker:
     def __init__(self, path):
         self.path = path

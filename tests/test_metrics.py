@@ -211,6 +211,90 @@ class TestCapacityAware:
         assert rep.total >= embedding_delay(cg, dm, e).total
         assert all(use.edge < 4 for uses in sched.uses.values() for use in uses)
 
+    # The cases below pin the tie rule: events in (time, finishes before
+    # arrivals, link, edge) order, each link serving by (arrival, edge).
+
+    def test_non_source_without_inputs_fires_once(self):
+        # vertex 1 has no inputs: it fires at its processing time 2, and the
+        # colocated edge 1 fires vertex 2 at once, so edge 3 crosses link 1-2 once
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], sources=(0,), sink=2)
+        proc = np.zeros((4, 3))
+        proc[1, 1], proc[2, 1] = 2, 1
+        with pytest.warns(UserWarning, match="vertex 1 has no inputs"):
+            cg = build_computation(4, [(0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
+                                   (0,), 3, proc)
+        rep, sched = capacity_aware_delay(cg, net, apsp(net), Embedding((0, 1, 1, 2)))
+        assert rep.per_vertex == (0, 2, 3, 4)
+        assert _uses(sched) == {
+            (0, 1): [(0, 0, 1, 0, 1)],
+            (1, 2): [(0, 1, 2, 1, 2), (2, 1, 2, 2, 3), (3, 1, 2, 3, 4)],
+        }
+
+    def test_simultaneous_waiters_are_served_by_edge_index(self):
+        # edge 2 holds hub link 3-4 over [0, 2]; edges 0 and 1 both reach it
+        # at t=1 and wait, and edge 0 goes first though its tail node is higher
+        net = build_network(5, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 0.0), (3, 4, 1.0)],
+                            sources=(0, 1, 2), sink=4)
+        cg = build_computation(4, [(1, 3, 1.0), (0, 3, 1.0), (2, 3, 2.0)], (0, 1, 2), 3,
+                               np.zeros((4, 5)))
+        rep, sched = capacity_aware_delay(cg, net, apsp(net), Embedding((0, 1, 2, 4)))
+        assert rep.total == 4
+        assert _uses(sched)[(3, 4)] == [(2, 3, 4, 0, 2), (0, 3, 4, 1, 3), (1, 3, 4, 1, 4)]
+
+    def test_finish_runs_before_arrival_at_the_same_time(self):
+        # at t=1 edge 0 finishes on link 0-1 and edge 1 (from vertex 1, which
+        # fires at t=1) reaches link 1-2: the finish runs first, so edge 0
+        # reaches the free link 1-2 first too and, with the lower index, takes it
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], sources=(0,), sink=2)
+        proc = np.zeros((3, 3))
+        proc[1, 1] = 1
+        with pytest.warns(UserWarning, match="vertex 1 has no inputs"):
+            cg = build_computation(3, [(0, 2, 1.0), (1, 2, 1.0)], (0,), 2, proc)
+        rep, sched = capacity_aware_delay(cg, net, apsp(net), Embedding((0, 1, 2)))
+        assert rep.total == 3
+        assert _uses(sched)[(1, 2)] == [(0, 1, 2, 1, 2), (1, 1, 2, 1, 3)]
+
+    def test_freed_link_takes_an_arrival_at_that_time(self):
+        # edge 1 holds link 1-2 over [0, 1]; edge 0 reaches it at t=1 and
+        # leaves at 2 without waiting
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], sources=(0, 1), sink=2)
+        cg = build_computation(3, [(0, 2, 1.0), (1, 2, 1.0)], (0, 1), 2, np.zeros((3, 3)))
+        rep, sched = capacity_aware_delay(cg, net, apsp(net), Embedding((0, 1, 2)))
+        assert rep.total == 2
+        assert _uses(sched)[(1, 2)] == [(1, 1, 2, 0, 1), (0, 1, 2, 1, 2)]
+
+    def test_zero_weight_link_and_zero_size_edge(self):
+        # link 0-1 costs nothing and edge 1 carries nothing: both still take
+        # their turn on each link, for no time
+        net = build_network(3, [(0, 1, 0.0), (1, 2, 1.0)], sources=(0, 1), sink=2)
+        cg = build_computation(3, [(0, 2, 2.0), (1, 2, 0.0)], (0, 1), 2, np.zeros((3, 3)))
+        rep, sched = capacity_aware_delay(cg, net, apsp(net), Embedding((0, 1, 2)))
+        assert rep.total == 2
+        assert _uses(sched) == {
+            (0, 1): [(0, 0, 1, 0, 0)],
+            (1, 2): [(0, 1, 2, 0, 2), (1, 1, 2, 0, 2)],
+        }
+
+    def test_fan_out_schedule(self, prodsum):
+        cg, net, dm = prodsum
+        rep, sched = capacity_aware_delay(cg, net, dm, E_COST)
+        assert rep.total == 16
+        assert _uses(sched) == {
+            (0, 3): [(0, 0, 3, 0, 10)],
+            (1, 3): [(1, 1, 3, 0, 4)],
+            (1, 4): [(2, 1, 4, 0, 2)],
+            (2, 4): [(3, 2, 4, 0, 11)],
+            (3, 6): [(4, 3, 6, 11, 12)],
+            (4, 6): [(5, 4, 6, 12, 14)],
+            (6, 7): [(6, 6, 7, 15, 16)],
+        }
+
+
+def _uses(sched):
+    """(edge, tail, head, arrival, departure) of each link's uses, in service order."""
+    return {link: [(u.edge, u.tail, u.head, u.arrival, u.departure) for u in uses]
+            for link, uses in sched.uses.items()}
+
 
 class TestLinkUsage:
     def test_fanin(self, fanin):
