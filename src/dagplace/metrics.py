@@ -206,7 +206,7 @@ def capacity_aware_delay(
         link = (min(a, b), max(a, b))
         depart = max(t, arrival) + weight[link] * cg.edges[idx][2]
         log.setdefault(link, []).append(
-            LinkUse(edge=idx, tail=a, head=b, arrival=arrival, departure=depart)
+            LinkUse(edge=idx, tail=a, head=b, arrival=float(arrival), departure=float(depart))
         )
         heapq.heappush(events, (depart, _FINISH, key, idx))
 

@@ -44,13 +44,6 @@ class NetworkGraph:
     def k(self) -> int:
         return len(self.sources)
 
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(tuple(sorted(a)) for a in adj)
-
     def edge_weight(self) -> dict[tuple[int, int], float]:
         return {(u, v): w for u, v, w in self.edges}
 
@@ -75,6 +68,16 @@ class ComputationGraph:
     processing: np.ndarray  # (p, n); treated as read-only
     is_dag: bool = True
     _topo: tuple[int, ...] | None = field(default=None, repr=False)
+    # built from ``edges`` once, by __post_init__ (so also by dataclasses.replace)
+    _in_edges: tuple = field(init=False, repr=False, compare=False)
+    _predecessors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ine: list[list[tuple[int, float]]] = [[] for _ in range(self.p)]
+        for a, b, lam in self.edges:
+            ine[b].append((a, lam))
+        object.__setattr__(self, "_in_edges", tuple(tuple(x) for x in ine))
+        object.__setattr__(self, "_predecessors", tuple(tuple(a for a, _ in x) for x in ine))
 
     @property
     def k(self) -> int:
@@ -85,10 +88,7 @@ class ComputationGraph:
         return len(self.edges)
 
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        pre: list[list[int]] = [[] for _ in range(self.p)]
-        for a, b, _ in self.edges:
-            pre[b].append(a)
-        return tuple(tuple(x) for x in pre)
+        return self._predecessors
 
     def topological_order(self) -> tuple[int, ...]:
         if self._topo is None:
@@ -96,28 +96,45 @@ class ComputationGraph:
         return self._topo
 
     def in_edges(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        ine: list[list[tuple[int, float]]] = [[] for _ in range(self.p)]
-        for a, b, lam in self.edges:
-            ine[b].append((a, lam))
-        return tuple(tuple(x) for x in ine)
+        return self._in_edges
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest path weights plus predecessor table.
+    """All-pairs shortest path weights, with shortest paths built on demand.
 
-    ``pred[u, j]`` is the predecessor of j on the chosen shortest u->j path
-    (``pred[u, u] == u``).  Ties between equal-weight paths are broken toward
-    the lexicographically smallest node sequence, so path extraction is
-    deterministic.
+    ``dist[u, v]`` is the weight of a shortest u->v path, its link weights
+    added one at a time from u outward.  ``weight`` is the dense link-weight
+    matrix (inf where two nodes share no link, and on the diagonal).
+
+    ``extract_path`` picks one shortest path per pair by a fixed rule.  For a
+    source u, a link x->w is *tight* when ``dist[u, x] + weight[x, w] ==
+    dist[u, w]`` in floats, and ``h[w]`` is the fewest tight links on a path
+    from u to w.  The chosen u->v path is the lexicographically smallest node
+    sequence among the tight paths along which (dist[u, .], h) strictly rises.
+    With positive weights every tight link raises the distance, so this is
+    the lexicographically smallest shortest path.  A zero-weight link (or a
+    positive one whose weight is lost to rounding) must instead raise h by
+    one, so a zero-weight tie goes to the lexicographically smallest of the
+    fewest-hop ways through it, and zero-weight cycles are never walked.
+    Each source's choices are built on its first request and cached.
     """
 
     dist: np.ndarray  # (n, n) float
-    pred: np.ndarray  # (n, n) int
+    weight: np.ndarray  # (n, n) float, inf off the links
+    _parents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.dist.shape[0]
+
+    def parents(self, u: int) -> tuple[int, ...]:
+        """``parents(u)[v]`` precedes v on the chosen u->v path (u for v == u,
+        -1 where v is unreachable)."""
+        par = self._parents.get(u)
+        if par is None:
+            par = self._parents[u] = _path_tree(self.dist[u], self.weight, u)
+        return par
 
 
 @dataclass(frozen=True)
@@ -354,46 +371,90 @@ def _warn_off_path(p, edges, sources, sink) -> None:
         warnings.warn(f"vertices {off} lie on no source-to-sink path")
 
 
-def apsp(net: NetworkGraph) -> DistanceMatrix:
-    """Exact all-pairs shortest paths with deterministic path choice.
+# floats held by one temporary of the min-plus sweep (256 KB)
+_SWEEP_FLOATS = 2**15
 
-    Runs one Dijkstra per source whose heap keys are (distance, node sequence),
-    so among equal-weight simple paths the lexicographically smallest node
-    sequence wins.  For strictly positive weights this is exactly the
-    lexicographically minimal shortest path; zero-weight ties remain
-    deterministic but may not be globally lex-minimal.
+
+def apsp(net: NetworkGraph) -> DistanceMatrix:
+    """Exact all-pairs shortest paths by a min-plus Bellman-Ford sweep.
+
+    Each source row is relaxed as ``D = min(D, min_x D[x] + W[x, :])`` until
+    it stops changing.  This adds a path's weights left to right from the
+    source, exactly as a Dijkstra run would, so every distance is the least
+    float any path's left-to-right sum reaches.  Rows are swept in blocks of
+    about ``_SWEEP_FLOATS`` floats.  No paths are stored; see
+    ``DistanceMatrix`` for the rule ``extract_path`` follows.
     """
     n = net.n
-    adj = net.adjacency()
-    dist = np.full((n, n), np.inf)
-    pred = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0.0
-        pred[s, s] = s
-        heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (s,))]
-        done = [False] * n
-        while heap:
-            d, path = heapq.heappop(heap)
-            v = path[-1]
-            if done[v]:
-                continue
-            done[v] = True
-            dist[s, v] = d
-            pred[s, v] = path[-2] if len(path) > 1 else s
-            for w, wt in adj[v]:
-                if not done[w]:
-                    heapq.heappush(heap, (d + wt, path + (w,)))
-    return DistanceMatrix(dist=dist, pred=pred)
+    weight = np.full((n, n), np.inf)
+    if net.edges:
+        u, v, w = (np.array(c) for c in zip(*net.edges))
+        weight[u, v] = w
+        weight[v, u] = w
+    dist = weight.copy()
+    np.fill_diagonal(dist, 0.0)
+    rows = max(1, _SWEEP_FLOATS // (n * n))
+    for lo in range(0, n, rows):
+        block = dist[lo:lo + rows]
+        while True:
+            relaxed = np.minimum(block, (block[:, :, None] + weight).min(axis=1))
+            if np.array_equal(relaxed, block):
+                break
+            block = relaxed
+        dist[lo:lo + rows] = block
+    return DistanceMatrix(dist=dist, weight=weight)
+
+
+def _path_tree(d: np.ndarray, weight: np.ndarray, u: int) -> tuple[int, ...]:
+    """Parents of the chosen paths from u, given u's distance row ``d``."""
+    n = len(d)
+    tight = d[:, None] + weight == d[None, :]
+    flat = tight & (d[:, None] == d[None, :])
+    if flat.any():
+        # hops by breadth-first levels over the tight links; a flat tight
+        # link is kept only when it adds the one hop
+        hops = np.full(n, n)
+        level = np.zeros(n, dtype=bool)
+        level[u] = True
+        k = 0
+        while level.any():
+            hops[level] = k
+            k += 1
+            level = tight[level].any(axis=0) & (hops == n)
+        tight &= ~flat | (hops[:, None] < hops[None, :])
+    # depth-first from u, smallest node first: on this acyclic link set the
+    # first visit of a node comes along its lexicographically smallest path
+    tails, heads = np.nonzero(tight)
+    heads = heads.tolist()
+    end = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    nxt = [0] + end[:-1]
+    parent = [-1] * n
+    parent[u] = u
+    stack = [u]
+    while stack:
+        x = stack[-1]
+        i, stop = nxt[x], end[x]
+        while i < stop and parent[heads[i]] >= 0:
+            i += 1
+        if i == stop:
+            stack.pop()
+            continue
+        nxt[x] = i + 1
+        w = heads[i]
+        parent[w] = x
+        stack.append(w)
+    return tuple(parent)
 
 
 def extract_path(dm: DistanceMatrix, u: int, v: int) -> list[int]:
     """Node sequence of the chosen shortest u->v path; [u] when u == v."""
     if u == v:
         return [u]
+    parent = dm.parents(u)
     out = [v]
     x = v
     while x != u:
-        x = int(dm.pred[u, x])
+        x = parent[x]
         if x < 0:
             raise ValidationError(f"no path from {u} to {v}")
         out.append(x)

@@ -289,6 +289,16 @@ class TestCapacityAware:
             (6, 7): [(6, 6, 7, 15, 16)],
         }
 
+    def test_link_uses_hold_plain_numbers(self, prodsum):
+        # edges 4-6 leave non-sources, whose firing times are sums with a
+        # numpy processing entry; their times are plain floats all the same
+        cg, net, dm = prodsum
+        _, sched = capacity_aware_delay(cg, net, dm, E_COST)
+        kinds = {tuple(type(getattr(u, f)) for f in ("edge", "tail", "head", "arrival",
+                                                     "departure"))
+                 for uses in sched.uses.values() for u in uses}
+        assert kinds == {(int, int, int, float, float)}
+
 
 def _uses(sched):
     """(edge, tail, head, arrival, departure) of each link's uses, in service order."""

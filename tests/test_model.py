@@ -1,4 +1,7 @@
+import dataclasses
+import heapq
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,7 +17,12 @@ from dagplace.errors import (
     UnknownNodeId,
     ValidationError,
 )
-from dagplace.harness import random_binary_tree_cg, random_connected_network, random_layered_cg
+from dagplace.harness import (
+    random_binary_tree_cg,
+    random_connected_network,
+    random_layered_cg,
+    random_network,
+)
 from dagplace.model import (
     apsp,
     build_computation,
@@ -26,9 +34,18 @@ from dagplace.model import (
 )
 
 
+def adjacency(net):
+    """Sorted (neighbour, weight) lists of each node."""
+    adj = [[] for _ in range(net.n)]
+    for u, v, w in net.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return [sorted(a) for a in adj]
+
+
 def all_simple_paths(net, u: int, v: int):
     """Yield every simple u->v path; the oracle for shortest-path checks."""
-    adj = net.adjacency()
+    adj = adjacency(net)
 
     def rec(path, seen):
         x = path[-1]
@@ -52,6 +69,81 @@ def path_weight(net, path) -> float:
     for a, b in itertools.pairwise(path):
         total += w[(min(a, b), max(a, b))]
     return total
+
+
+def reference_apsp(net):
+    """One Dijkstra per source whose heap keys are (distance, node sequence):
+    the oracle for ``apsp``.  Returns the distance matrix and the predecessor
+    of each node on its chosen path (u itself for the source u)."""
+    n = net.n
+    adj = adjacency(net)
+    dist = np.full((n, n), np.inf)
+    pred = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        heap = [(0.0, (s,))]
+        done = [False] * n
+        while heap:
+            d, path = heapq.heappop(heap)
+            v = path[-1]
+            if done[v]:
+                continue
+            done[v] = True
+            dist[s, v] = d
+            pred[s, v] = path[-2] if len(path) > 1 else s
+            for w, wt in adj[v]:
+                if not done[w]:
+                    heapq.heappush(heap, (d + wt, path + (w,)))
+    return dist, pred
+
+
+def reference_path(pred, u: int, v: int) -> list[int]:
+    out = [v]
+    while out[-1] != u:
+        out.append(int(pred[u, out[-1]]))
+    return out[::-1]
+
+
+def rule_path(net, d, u: int, v: int) -> list[int]:
+    """The documented path rule, by enumeration: the lexicographically
+    smallest simple u->v path whose links are tight and raise (dist, hops)."""
+    adj = adjacency(net)
+    tight = {(x, y) for x in range(net.n) for y, wt in adj[x] if d[u, x] + wt == d[u, y]}
+    hops = {u: 0}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y, _ in adj[x]:
+            if y not in hops and (x, y) in tight:
+                hops[y] = hops[x] + 1
+                queue.append(y)
+
+    def allowed(a, b):
+        return (a, b) in tight and (d[u, a], hops[a]) < (d[u, b], hops[b])
+
+    return min(p for p in all_simple_paths(net, u, v)
+               if all(allowed(a, b) for a, b in itertools.pairwise(p)))
+
+
+def scaled_network(rng, n, den, lo):
+    """Random connected n-node network with weights k/den, k in lo..9."""
+    net = random_connected_network(n, rng, weight_range=(lo, 9))
+    return build_network(n, [(a, b, wt / den) for a, b, wt in net.edges])
+
+
+def differential_networks():
+    """The bundled networks, 300 small seeded random ones (weights k/1,
+    k/10, k/3, k/7, half of them with zeros) and two of 40 nodes, which the
+    sweep takes in several row blocks."""
+    nets = [load_fixture(name, net=kind)[1] for name, kind in
+            [("prodsum", "net"), ("prodsum", "net_alt"), ("fanin", "net"),
+             ("ladder", "net"), ("loop", "net")]]
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        nets.append(scaled_network(rng, int(rng.integers(1, 11)), (1, 10, 3, 7)[i % 4], i % 2))
+    for seed in (1, 2):
+        net = random_network(40, 0.15, seed, "randint", weight_range=(1, 9))
+        nets.append(build_network(40, [(a, b, wt / 7) for a, b, wt in net.edges]))
+    return nets
 
 
 def chain_cg(n_net=3):
@@ -169,6 +261,92 @@ class TestApsp:
                     assert extract_path(dm, u, v) == best
 
 
+    def test_matches_reference_dijkstra(self):
+        # distances bit for bit everywhere; paths pair for pair when every
+        # weight is positive (zero-weight ties follow the documented rule)
+        compared = 0
+        for net in differential_networks():
+            dm = apsp(net)
+            dist, pred = reference_apsp(net)
+            assert dm.dist.tobytes() == dist.tobytes()
+            if all(wt > 0 for _, _, wt in net.edges):
+                for u, v in itertools.product(range(net.n), repeat=2):
+                    assert extract_path(dm, u, v) == reference_path(pred, u, v)
+                    compared += 1
+        assert compared > 10000
+
+    def test_distances_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for net in differential_networks():
+            g = nx.Graph()
+            g.add_nodes_from(range(net.n))
+            g.add_weighted_edges_from(net.edges)
+            d = apsp(net).dist
+            for u in range(net.n):
+                lengths = nx.single_source_dijkstra_path_length(g, u)
+                assert [lengths[v] for v in range(net.n)] == d[u].tolist()
+
+    def test_paths_are_built_per_source_and_kept(self):
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
+        dm = apsp(net)
+        assert not hasattr(dm, "pred")
+        assert dm.parents(0) == (0, 0, 1)
+        assert dm.parents(0) is dm.parents(0)
+        assert dm.weight[0, 2] == 3 and dm.weight[0, 0] == np.inf
+
+
+class TestZeroWeightTies:
+    """With zero-weight links a path may not walk a flat link that does not
+    add the one hop: ties go to the fewest-hop shortest paths."""
+
+    @staticmethod
+    def assert_fewest_hop_lexicographic(net):
+        dm = apsp(net)
+        for u, v in itertools.product(range(net.n), repeat=2):
+            path = extract_path(dm, u, v)
+            assert len(set(path)) == len(path)
+            assert path_weight(net, path) == dm.dist[u, v]
+            shortest = [p for p in all_simple_paths(net, u, v)
+                        if path_weight(net, p) == dm.dist[u, v]]
+            fewest = min(map(len, shortest))
+            assert path == min(p for p in shortest if len(p) == fewest)
+
+    def test_zero_weight_cycle(self):
+        # 1-2-3 is a zero-weight triangle between two unit links
+        net = build_network(5, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 0.0), (1, 3, 0.0),
+                                (3, 4, 1.0)])
+        self.assert_fewest_hop_lexicographic(net)
+        assert extract_path(apsp(net), 0, 4) == [0, 1, 3, 4]
+
+    def test_zero_weight_shortcut_beats_smaller_labels(self):
+        # 0-1-2 and 0-2 both cost nothing: the one-hop way wins, where the
+        # reference Dijkstra took the lexicographically smaller 0-1-2
+        net = build_network(4, [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0), (2, 3, 1.0)])
+        self.assert_fewest_hop_lexicographic(net)
+        assert extract_path(apsp(net), 0, 3) == [0, 2, 3]
+        assert reference_path(reference_apsp(net)[1], 0, 3) == [0, 1, 2, 3]
+
+    def test_all_zero_network(self):
+        # every path is shortest: the fewest hops, then the smallest labels
+        net = build_network(6, [(0, 1, 0.0), (0, 2, 0.0), (1, 3, 0.0), (2, 3, 0.0),
+                                (3, 4, 0.0), (4, 5, 0.0), (1, 5, 0.0)])
+        self.assert_fewest_hop_lexicographic(net)
+        assert extract_path(apsp(net), 0, 3) == [0, 1, 3]
+        assert extract_path(apsp(net), 2, 5) == [2, 0, 1, 5]
+
+    def test_rule_on_random_networks(self):
+        # the documented rule, enumerated, on small networks full of zeros
+        rng = np.random.default_rng(12)
+        for i in range(60):
+            net = random_connected_network(int(rng.integers(2, 7)), rng, weight_range=(0, 2))
+            net = build_network(net.n, [(a, b, wt / (1, 10, 3)[i % 3]) for a, b, wt in net.edges])
+            dm = apsp(net)
+            for u, v in itertools.product(range(net.n), repeat=2):
+                path = extract_path(dm, u, v)
+                assert path_weight(net, path) == dm.dist[u, v]
+                assert path == rule_path(net, dm.dist, u, v)
+
+
 class TestLayering:
     def test_prodsum_layers(self):
         ls = infer_layering(load_fixture("prodsum")[0])
@@ -205,6 +383,21 @@ class TestLayering:
             assert inferred.layer == ls.layer
             assert (inferred.r, inferred.k) == (ls.r, ls.k)
             validate_layering(cg, ls)
+
+
+class TestComputationGraph:
+    def test_in_edges_and_predecessors_are_built_once(self):
+        cg = load_fixture("prodsum")[0]
+        assert cg.in_edges() is cg.in_edges()
+        assert cg.predecessors() is cg.predecessors()
+        for b in range(cg.p):
+            assert cg.in_edges()[b] == tuple((a, lam) for a, h, lam in cg.edges if h == b)
+            assert cg.predecessors()[b] == tuple(a for a, _ in cg.in_edges()[b])
+
+    def test_replace_rebuilds_them(self):
+        cg = dataclasses.replace(chain_cg(), edges=((0, 2, 1.0), (1, 2, 2.0)))
+        assert cg.in_edges() == ((), (), ((0, 1.0), (1, 2.0)))
+        assert cg.predecessors() == ((), (), (0, 1))
 
 
 class TestCheckTree:
