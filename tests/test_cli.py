@@ -422,6 +422,28 @@ def test_broken_state_files_exit_2(tmp_path, capsys):
     assert _one_error_line(argv, capsys) == 4
 
 
+def test_non_finite_link_weights_exit_2(tmp_path, capsys):
+    # JSON reads NaN and Infinity; a NaN link weight must not reach apsp
+    state = load_json(_state(tmp_path))
+    bad = tmp_path / "bad.json"
+    out = str(tmp_path / "out.json")
+    for w in (float("nan"), float("inf")):
+        net = load_json(fx("prodsum_net.json"))
+        net["edges"][0][2] = w
+        bad.write_text(json.dumps(net))
+        for argv in (
+            ["validate", "--network", str(bad)],
+            ["solve", "--objective", "mincost", "--method", "layered", "--network", str(bad),
+             "--computation", fx("prodsum_cg.json"), "--out", out],
+            ["eval", "--metric", "capdelay", "--network", str(bad), "--computation",
+             fx("prodsum_cg.json"), "--embedding", fx("prodsum_emb_delay.json"), "--out", out],
+        ):
+            assert _one_error_line(argv, capsys) == 2, (w, argv[0])
+        bad.write_text(json.dumps(dict(state, network=net)))
+        argv = ["perturb", "--state", str(bad), "--edits", fx("prodsum_edits.json"), "--out", out]
+        assert _one_error_line(argv, capsys) == 2, (w, "perturb")
+
+
 def test_perturb_budget_judges_the_replan(tmp_path, capsys):
     (tmp_path / "none.json").write_text(json.dumps({"adds": []}))
     argv = ["perturb", "--state", _state(tmp_path), "--out", str(tmp_path / "o.json"),

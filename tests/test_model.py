@@ -24,6 +24,7 @@ from dagplace.harness import (
     random_network,
 )
 from dagplace.model import (
+    NetworkGraph,
     apsp,
     build_computation,
     build_network,
@@ -170,6 +171,13 @@ class TestBuildNetwork:
         with pytest.raises(NegativeWeight):
             build_network(2, [(0, 1, -1.0)])
 
+    def test_non_finite_weight(self):
+        for w in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="non-finite"):
+                build_network(2, [(0, 1, w)])
+        with pytest.raises(NegativeWeight):
+            build_network(2, [(0, 1, float("-inf"))])
+
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
             build_network(2, [(0, 1, 1.0), (1, 0, 2.0)])
@@ -286,6 +294,20 @@ class TestApsp:
                 lengths = nx.single_source_dijkstra_path_length(g, u)
                 assert [lengths[v] for v in range(net.n)] == d[u].tolist()
 
+    def test_unreachable_node_has_no_path(self):
+        # NetworkGraph built directly, past build_network's connectivity
+        # check: no path may run over a link that is not there
+        dm = apsp(NetworkGraph(n=3, edges=((0, 1, 1.0),)))
+        assert dm.dist[0, 2] == np.inf
+        assert dm.parents(0) == (0, 0, -1)
+        with pytest.raises(ValidationError, match="no path"):
+            extract_path(dm, 0, 2)
+
+    def test_nan_weight_ends_the_sweep(self):
+        # build_network rejects NaN; built directly, the sweep still ends
+        dm = apsp(NetworkGraph(n=3, edges=((0, 1, 1.0), (1, 2, float("nan")))))
+        assert np.isnan(dm.dist[0, 2])
+
     def test_paths_are_built_per_source_and_kept(self):
         net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
         dm = apsp(net)
@@ -295,9 +317,15 @@ class TestApsp:
         assert dm.weight[0, 2] == 3 and dm.weight[0, 0] == np.inf
 
 
+# a flat link (3-4) tied with a path of positive links
+MIXED_TIE = build_network(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 4, 1.0), (0, 3, 3.0), (3, 4, 0.0)])
+
+
 class TestZeroWeightTies:
     """With zero-weight links a path may not walk a flat link that does not
-    add the one hop: ties go to the fewest-hop shortest paths."""
+    raise h, the fewest tight links from the source.  Where every tie runs
+    through flat links, as in the first three cases, the chosen path is the
+    lexicographically smallest of the fewest-hop shortest paths."""
 
     @staticmethod
     def assert_fewest_hop_lexicographic(net):
@@ -334,12 +362,25 @@ class TestZeroWeightTies:
         assert extract_path(apsp(net), 0, 3) == [0, 1, 3]
         assert extract_path(apsp(net), 2, 5) == [2, 0, 1, 5]
 
+    def test_positive_tight_links_also_count_hops(self):
+        # 0-1-2-4 and 0-3-4 both weigh 3; the flat link 3-4 raises h
+        # (h[3] = 1, h[4] = 2), so both are allowed and the smaller labels
+        # win over the fewest hops, as in the reference
+        net = MIXED_TIE
+        dm = apsp(net)
+        assert extract_path(dm, 0, 4) == [0, 1, 2, 4]
+        assert reference_path(reference_apsp(net)[1], 0, 4) == [0, 1, 2, 4]
+        assert path_weight(net, [0, 3, 4]) == dm.dist[0, 4]
+
     def test_rule_on_random_networks(self):
         # the documented rule, enumerated, on small networks full of zeros
         rng = np.random.default_rng(12)
+        nets = [MIXED_TIE]
         for i in range(60):
             net = random_connected_network(int(rng.integers(2, 7)), rng, weight_range=(0, 2))
-            net = build_network(net.n, [(a, b, wt / (1, 10, 3)[i % 3]) for a, b, wt in net.edges])
+            nets.append(build_network(net.n, [(a, b, wt / (1, 10, 3)[i % 3])
+                                              for a, b, wt in net.edges]))
+        for net in nets:
             dm = apsp(net)
             for u, v in itertools.product(range(net.n), repeat=2):
                 path = extract_path(dm, u, v)
