@@ -29,9 +29,11 @@ The document parsers (the ``from_json`` constructors, ``load_embedding``,
 ``load_edits``, ``load_decomposition``, ``load_experiment_config`` and
 ``load_state``) check each document's shape (lists, arities, name strings,
 number types) before using it, so a wrong-shaped document exits 2 with one
-``error:`` line, never a traceback.  A state file holds no solver tables, so
-loading one runs no code; ``perturb`` re-solves it to rebuild them.  Exit
-codes: 0 ok, 2 validation error, 3 budget exceeded, 4 solver precondition failure.
+``error:`` line, never a traceback.  A number is a finite JSON int or float
+that fits a double, so NaN, Infinity and a 400-digit integer exit 2 as well.
+A state file holds no solver tables, so loading one runs no code; ``perturb``
+re-solves it to rebuild them.  Exit codes: 0 ok, 2 validation error, 3 budget
+exceeded, 4 solver precondition failure.
 A warning that the active filters let through is one ``warning:`` line on stderr.
 """
 
@@ -115,7 +117,25 @@ def _name_table(names, what: str) -> dict:
 def _num(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValidationError(f"{what}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(f"{what}: integer too large for a double") from None
+
+
+def _num_matrix(rows: list[list], what: str) -> np.ndarray:
+    """``rows`` as a float array, each cell checked as ``_num`` checks it."""
+    kinds = set()
+    for row in rows:
+        kinds.update(map(type, row))
+    if not kinds <= {int, float}:
+        for row in rows:  # name the first cell that is no number
+            for x in row:
+                _num(x, what)
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"{what}: integer too large for a double") from None
 
 
 def _is_int(x) -> bool:
@@ -215,9 +235,7 @@ class ComputationDoc:
             raise ValidationError("computation: 'processing' must be an object")
         if "matrix" in proc_doc:
             _require_fields(proc_doc, ("matrix",), what="processing")
-            proc = np.array(
-                [[_num(x, "processing") for x in row] for row in _matrix_rows(proc_doc)]
-            )
+            proc = _num_matrix(_matrix_rows(proc_doc), "processing")
             if proc.shape != (p, n_network):
                 raise ValidationError(
                     f"processing matrix must be {p}x{n_network}, got {proc.shape}"
@@ -260,7 +278,12 @@ class ComputationDoc:
 
 def load_json(path: str):
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_network(path: str) -> NetworkDoc:
@@ -617,8 +640,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: argparse.ArgumentParser | None = None  # main's parser, built on first use
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     with warnings.catch_warnings():
         # only the format changes: the caller's filters still decide what shows
         warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)

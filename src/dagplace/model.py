@@ -274,7 +274,9 @@ def build_computation(
     """Validate and construct a ComputationGraph.
 
     ``processing`` is array-like of shape (p, n_network).  Source rows must be
-    zero unless ``allow_nonzero_source_processing``.
+    zero unless ``allow_nonzero_source_processing``.  Edge sizes and
+    processing values must be finite and non-negative (ValidationError for
+    NaN or infinity).
     ``require_dag=False`` admits cyclic schemas; only cost-based operations
     accept those.
     """
@@ -306,6 +308,8 @@ def build_computation(
             raise SelfLoop(f"self-loop at computation vertex {a}")
         if lam < 0:
             raise NegativeWeight(f"edge ({a},{b}) has negative weight {lam}")
+        if not math.isfinite(lam):
+            raise ValidationError(f"edge ({a},{b}) has non-finite weight {lam}")
         if (a, b) in seen:
             raise DuplicateEdge(f"more than one edge ({a},{b})")
         seen.add((a, b))
@@ -330,6 +334,8 @@ def build_computation(
         raise ValidationError(f"processing table must have shape (p={p}, n); got {proc.shape}")
     if (proc < 0).any():
         raise NegativeWeight("processing table has negative entries")
+    if not np.isfinite(proc).all():
+        raise ValidationError("processing table has non-finite entries")
     if not allow_nonzero_source_processing and any(proc[s].any() for s in sources):
         raise ValidationError(
             "processing of a source must be zero"

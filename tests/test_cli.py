@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import fixture_path as fx
+from dagplace import cli
 from dagplace.cli import ComputationDoc, NetworkDoc, load_edits, load_json, main
+from dagplace.errors import ValidationError
 from dagplace.model import LayeredStructure, apsp
 from dagplace.solver_layered import min_cost_layered
 
@@ -218,6 +220,21 @@ def _with(fixture, **fields):
     return dict(load_json(fx(fixture)), **fields)
 
 
+def _first_edge_weight(fixture, weight):
+    edges = load_json(fx(fixture))["edges"]
+    return _with(fixture, edges=[[*edges[0][:2], weight], *edges[1:]])
+
+
+def _chain_cg(rows) -> dict:
+    """A chain w0 -> w1 -> ... whose processing matrix holds ``rows``; w0 is the source."""
+    names = [f"w{i}" for i in range(len(rows))]
+    return {"nodes": names, "edges": [[a, b, 1.0] for a, b in zip(names, names[1:])],
+            "sources": names[:1], "sink": names[-1], "processing": {"matrix": rows}}
+
+
+NAN, INF, HUGE = float("nan"), float("inf"), 10 ** 400  # HUGE: no double holds it
+
+
 def _one_error_line(argv, capsys) -> int:
     capsys.readouterr()
     code = main(argv)
@@ -250,10 +267,26 @@ def _one_error_line(argv, capsys) -> int:
     ("bench", _with("bench_k2_desk.json", width=0)),
     ("bench", _with("bench_k2_desk.json", p_r_grid=[])),
     ("bench", _with("bench_k2_desk.json", n=2, width=4)),
+    ("validate-network", _first_edge_weight("prodsum_net.json", HUGE)),
+    ("layered", _first_edge_weight("prodsum_cg.json", HUGE)),
+    ("validate", _chain_cg([[0], [HUGE]])),
+    ("validate", _with("prodsum_cg.json", processing={"default": HUGE})),
+    ("bench", _with("bench_k2_desk.json", p_r_grid=[0.5, HUGE])),
+    # past Python's int-string limit json.load itself fails; a str doc is written as is
+    pytest.param("validate-network", json.dumps(_first_edge_weight("prodsum_net.json", "W"))
+                 .replace('"W"', "9" * 5000), id="validate-network-5000-digits"),
+    ("layered", _first_edge_weight("prodsum_cg.json", NAN)),
+    ("layered", _first_edge_weight("prodsum_cg.json", INF)),
+    ("validate", _chain_cg([[0], [NAN]])),
+    ("validate", _chain_cg([[0, 0], [1, INF]])),
+    ("validate", _with("prodsum_cg.json",
+                       processing={"default": 1, "overrides": [["prod", "*", NAN]]})),
+    ("perturb", {"adds": [{"edge": ["prod", "tap", NAN], "layer": 3}]}),
+    ("perturb", {"adds": [{"edge": ["prod", "tap", INF], "layer": 3}]}),
 ])
 def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert _one_error_line(_argv(command, str(bad), tmp_path), capsys) == 2
 
 
@@ -335,6 +368,89 @@ def test_computation_round_trip(name, net):
     a, b = again.cg, cdoc.cg
     assert (a.edges, a.sources, a.sink, a.is_dag) == (b.edges, b.sources, b.sink, b.is_dag)
     assert np.array_equal(a.processing, b.processing)
+
+
+def _generated_rows(kind: str, p: int = 511, n: int = 64) -> list[list]:
+    rng = random.Random(f"matrix/{kind}")
+    odd = [2 ** 53 + 1, 2 ** 64 + 12345, 10 ** 300 + 7, 0.1, 1e-320, 1.7e308, -0.0]
+
+    def cell(j):
+        if kind == "int" or (kind == "mixed" and j % 2):
+            return rng.choice((rng.randint(0, 9), rng.randint(0, 2 ** 70)))
+        return rng.choice((rng.uniform(0, 9), float(rng.randint(0, 9)), rng.choice(odd[3:])))
+
+    rows = [[0] * n] + [[cell(j) for j in range(n)] for _ in range(p - 1)]
+    if kind == "mixed":
+        rows[1][:len(odd)] = odd
+    return rows
+
+
+def _bundled_rows(name: str, net: str, as_int: bool) -> list[list]:
+    n = NetworkDoc.from_json(load_json(fx(f"{net}.json"))).net.n
+    rows = ComputationDoc.from_json(load_json(fx(f"{name}.json")), n).to_json()["processing"]
+    rows = rows["matrix"]
+    return [[int(x) if as_int and x.is_integer() else x for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("source", [
+    *(f"{name}/{net}/{cells}" for name, net in (
+        ("prodsum_cg", "prodsum_net"), ("prodsum_cg_sinkproc", "prodsum_net"),
+        ("fanin_cg", "fanin_net"), ("ladder_cg", "ladder_net"), ("loop_cg", "loop_net"),
+    ) for cells in ("float", "int")),
+    "generated/int", "generated/float", "generated/mixed",
+])
+def test_processing_matrix_is_parsed_bit_identically(source):
+    name, *rest = source.split("/")
+    if name == "generated":
+        rows = _generated_rows(rest[0])
+    else:
+        rows = _bundled_rows(name, rest[0], as_int=rest[1] == "int")
+    doc = _chain_cg(rows)
+    reference = np.array([[float(x) for x in row] for row in rows], dtype=float)
+    proc = ComputationDoc.from_json(doc, len(rows[0])).cg.processing
+    assert proc.shape == reference.shape and proc.dtype == np.float64
+    assert proc.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("cell", [True, "x", None, []])
+def test_matrix_names_its_first_bad_cell(cell):
+    rows = _generated_rows("mixed", p=6, n=8)
+    rows[3][5] = cell
+    rows[4][0] = "later"  # first in column-major order, second in row-major
+    with pytest.raises(ValidationError) as exc:
+        ComputationDoc.from_json(_chain_cg(rows), 8)
+    assert str(exc.value) == f"processing: expected a number, got {cell!r}"
+
+
+def test_cached_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    prodsum = ["--network", fx("prodsum_net.json"), "--computation", fx("prodsum_cg.json")]
+    commands = [
+        ["solve", "--objective", "mincost", "--method", "layered", *prodsum, "--out", "-"],
+        ["eval", "--metric", "capdelay", *prodsum, "--embedding", fx("prodsum_emb_delay.json")],
+        ["solve", "--objective", "fastest", *prodsum, "--out", "-"],  # argparse rejects it
+        ["validate", *prodsum],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    capsys.readouterr()
+    cached = [run(argv) for argv in commands]
+    parser = cli._parser
+    assert parser is not None
+    fresh = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _ in cached] == [0, 0, 2, 0]
+    monkeypatch.undo()
+    assert cli._parser is parser
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_perturb_state_of_a_sink_source_network(tmp_path):

@@ -440,6 +440,15 @@ class TestComputationGraph:
         assert cg.in_edges() == ((), (), ((0, 1.0), (1, 2.0)))
         assert cg.predecessors() == ((), (), (0, 1))
 
+    def test_non_finite_sizes_and_processing(self):
+        for x in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="non-finite weight"):
+                build_computation(2, [(0, 1, x)], (0,), 1, [[0.0], [1.0]])
+            with pytest.raises(ValidationError, match="non-finite entries"):
+                build_computation(2, [(0, 1, 1.0)], (0,), 1, [[0.0], [x]])
+        with pytest.raises(NegativeWeight):
+            build_computation(2, [(0, 1, float("-inf"))], (0,), 1, [[0.0], [1.0]])
+
 
 class TestCheckTree:
     def test_fanin_is_tree(self):
