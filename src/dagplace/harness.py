@@ -26,6 +26,7 @@ from .model import (
 from .oracle import brute_force_min_delay
 from .solver_layered import min_cost_layered
 from .solver_tree import min_delay_tree
+from .solver_treewidth import DEFAULT_TABLE_BUDGET
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two network nodes")
+        if self.n * self.n > DEFAULT_TABLE_BUDGET:
+            raise ValueError(f"an n x n distance table exceeds {DEFAULT_TABLE_BUDGET} cells")
         if self.weight_model not in ("unit", "randint"):
             raise ValueError(f"unknown weight model {self.weight_model!r}")
         if not all(0 < pr <= 1 for pr in self.p_r_grid):

@@ -382,18 +382,15 @@ def _warn_off_path(p, edges, sources, sink) -> None:
         warnings.warn(f"vertices {off} lie on no source-to-sink path")
 
 
-# floats held by one temporary of the min-plus sweep (256 KB)
-_SWEEP_FLOATS = 2**15
-
-
 def apsp(net: NetworkGraph) -> DistanceMatrix:
-    """Exact all-pairs shortest paths by a min-plus Bellman-Ford sweep.
+    """Exact all-pairs shortest paths by Dijkstra from every source in lock step.
 
-    Each source row is relaxed as ``D = min(D, min_x D[x] + W[x, :])`` until
-    it stops changing.  This adds a path's weights left to right from the
-    source, exactly as a Dijkstra run would, so every distance is the least
-    float any path's left-to-right sum reaches.  Rows are swept in blocks of
-    about ``_SWEEP_FLOATS`` floats.  No paths are stored; see
+    ``dist`` starts as the link weights with a zero diagonal.  Each of
+    ``n - 2`` steps settles every row's nearest unsettled node x and relaxes
+    ``dist[u] = min(dist[u], dist[u, x] + weight[x])``.  With non-negative
+    weights and monotone float addition every distance is then the least
+    left-to-right path sum from the source: the one fixpoint the former
+    min-plus sweep also reached, bit for bit.  No paths are stored; see
     ``DistanceMatrix`` for the rule ``extract_path`` follows.
     """
     n = net.n
@@ -404,15 +401,14 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
         weight[v, u] = w
     dist = weight.copy()
     np.fill_diagonal(dist, 0.0)
-    rows = max(1, _SWEEP_FLOATS // (n * n))
-    for lo in range(0, n, rows):
-        block = dist[lo:lo + rows]
-        while True:
-            relaxed = np.minimum(block, (block[:, :, None] + weight).min(axis=1))
-            if np.array_equal(relaxed, block, equal_nan=True):
-                break
-            block = relaxed
-        dist[lo:lo + rows] = block
+    rows = np.arange(n)
+    settled = np.where(np.eye(n, dtype=bool), np.inf, 0.0)  # inf: settled in that row
+    step = np.empty((n, n))
+    for _ in range(n - 2):
+        x = np.add(dist, settled, out=step).argmin(axis=1)
+        settled[rows, x] = np.inf
+        np.add(weight[x], dist[rows, x][:, None], out=step)
+        np.minimum(dist, step, out=dist)  # unlike a ``<`` mask, it carries NaN through
     return DistanceMatrix(dist=dist, weight=weight)
 
 

@@ -283,6 +283,8 @@ def _one_error_line(argv, capsys) -> int:
                        processing={"default": 1, "overrides": [["prod", "*", NAN]]})),
     ("perturb", {"adds": [{"edge": ["prod", "tap", NAN], "layer": 3}]}),
     ("perturb", {"adds": [{"edge": ["prod", "tap", INF], "layer": 3}]}),
+    ("bench", _with("bench_k2_desk.json", n=10_000_000)),
+    ("bench", _with("bench_k2_desk.json", n=HUGE)),
 ])
 def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"

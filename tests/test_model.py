@@ -5,6 +5,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
 from dagplace.errors import (
@@ -125,6 +127,17 @@ def rule_path(net, d, u: int, v: int) -> list[int]:
                if all(allowed(a, b) for a, b in itertools.pairwise(p)))
 
 
+def assert_networkx_distances(net, d):
+    """Every row of ``d`` equals networkx's Dijkstra lengths exactly."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(net.n))
+    g.add_weighted_edges_from(net.edges)
+    for u in range(net.n):
+        lengths = nx.single_source_dijkstra_path_length(g, u)
+        assert [lengths[v] for v in range(net.n)] == d[u].tolist()
+
+
 def scaled_network(rng, n, den, lo):
     """Random connected n-node network with weights k/den, k in lo..9."""
     net = random_connected_network(n, rng, weight_range=(lo, 9))
@@ -133,8 +146,8 @@ def scaled_network(rng, n, den, lo):
 
 def differential_networks():
     """The bundled networks, 300 small seeded random ones (weights k/1,
-    k/10, k/3, k/7, half of them with zeros) and two of 40 nodes, which the
-    sweep takes in several row blocks."""
+    k/10, k/3, k/7, half of them with zeros) and two of 40 nodes with
+    weights k/7."""
     nets = [load_fixture(name, net=kind)[1] for name, kind in
             [("prodsum", "net"), ("prodsum", "net_alt"), ("fanin", "net"),
              ("ladder", "net"), ("loop", "net")]]
@@ -145,6 +158,19 @@ def differential_networks():
         net = random_network(40, 0.15, seed, "randint", weight_range=(1, 9))
         nets.append(build_network(40, [(a, b, wt / 7) for a, b, wt in net.edges]))
     return nets
+
+
+@st.composite
+def weighted_networks(draw):
+    """Connected networks of 1-12 nodes: a random spanning tree plus any
+    further links, with weights k/den for k in 0..9 and den 1, 10, 3 or 7."""
+    n = draw(st.integers(1, 12))
+    den = draw(st.sampled_from((1, 10, 3, 7)))
+    links = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        links |= draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+    ks = draw(st.lists(st.integers(0, 9), min_size=len(links), max_size=len(links)))
+    return build_network(n, [(u, v, k / den) for (u, v), k in zip(sorted(links), ks)])
 
 
 def chain_cg(n_net=3):
@@ -284,15 +310,22 @@ class TestApsp:
         assert compared > 10000
 
     def test_distances_match_networkx(self):
-        nx = pytest.importorskip("networkx")
         for net in differential_networks():
-            g = nx.Graph()
-            g.add_nodes_from(range(net.n))
-            g.add_weighted_edges_from(net.edges)
-            d = apsp(net).dist
-            for u in range(net.n):
-                lengths = nx.single_source_dijkstra_path_length(g, u)
-                assert [lengths[v] for v in range(net.n)] == d[u].tolist()
+            assert_networkx_distances(net, apsp(net).dist)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(weighted_networks())
+    def test_property_matches_reference_and_networkx(self, net):
+        d = apsp(net).dist
+        assert d.tobytes() == reference_apsp(net)[0].tobytes()
+        assert_networkx_distances(net, d)
+
+    @pytest.mark.parametrize("n, den, seed", [(64, 7, 1), (150, 10, 2), (200, 7, 3)])
+    def test_large_networks_match_reference_dijkstra(self, n, den, seed):
+        # sparse, so shortest paths run over many links of fractional weight
+        net = random_network(n, 4 / n, seed, "randint", weight_range=(0, 9))
+        net = build_network(n, [(a, b, wt / den) for a, b, wt in net.edges])
+        assert apsp(net).dist.tobytes() == reference_apsp(net)[0].tobytes()
 
     def test_unreachable_node_has_no_path(self):
         # NetworkGraph built directly, past build_network's connectivity
