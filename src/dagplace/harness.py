@@ -19,6 +19,7 @@ from .model import (
     ComputationGraph,
     LayeredStructure,
     NetworkGraph,
+    _components,
     apsp,
     build_computation,
     build_network,
@@ -109,7 +110,7 @@ def random_network(
         else:
             raise ValueError(f"unknown weight model {weight_model!r}")
         edges = [(u, v, w) for (u, v), w in zip(chosen, weights)]
-        if _connected(n, edges):
+        if len(_components(n, edges)) == 1:
             if attempt:
                 logger.debug("connected after %d resamples (n=%d, p_r=%g)",
                              attempt, n, p_r)
@@ -117,25 +118,6 @@ def random_network(
     raise MaxResamplesExceeded(
         f"no connected sample in {max_resamples} draws (n={n}, p_r={p_r})"
     )
-
-
-def _connected(n, edges) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == n
 
 
 def random_connected_network(n, seed, *, extra_edge_p=0.3, weight_range=(0, 5)) -> NetworkGraph:

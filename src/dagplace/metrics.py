@@ -149,11 +149,8 @@ def capacity_aware_delay(
         base = (min(a, b), max(a, b))
         return base + ((0 if a < b else 1,) if per_direction else ())
 
-    out: list[list[int]] = [[] for _ in range(cg.p)]  # out-edge indices, ascending
-    pending = [0] * cg.p  # inputs still in flight
-    for idx, (a, b, _) in enumerate(cg.edges):
-        out[a].append(idx)
-        pending[b] += 1
+    out = cg.out_edges()
+    pending = [len(x) for x in cg.in_edges()]  # inputs still in flight
     latest = [0.0] * cg.p
     fire_time = [0.0] * cg.p
     segment = [0] * cg.q  # index of the path segment each edge sits at

@@ -61,6 +61,11 @@ class ComputationGraph:
     ``edges`` are directed (tail, head, weight) triples; the weight is the
     size of the intermediate result flowing along the edge.  ``processing``
     has shape (p, n) and is zero on source rows by convention.
+
+    The in-edges, predecessors, out-edges and topological order are derived
+    from ``edges`` by ``__post_init__`` and cannot be passed in, so
+    ``dataclasses.replace`` rebuilds them.  The order is Kahn's, smallest
+    ready vertex first, and None on a cycle (then ``is_dag`` is False).
     """
 
     p: int
@@ -68,18 +73,34 @@ class ComputationGraph:
     sources: tuple[int, ...]
     sink: int
     processing: np.ndarray  # (p, n); treated as read-only
-    is_dag: bool = True
-    _topo: tuple[int, ...] | None = field(default=None, repr=False)
-    # built from ``edges`` once, by __post_init__ (so also by dataclasses.replace)
     _in_edges: tuple = field(init=False, repr=False, compare=False)
     _predecessors: tuple = field(init=False, repr=False, compare=False)
+    _out_edges: tuple = field(init=False, repr=False, compare=False)
+    _topo: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ine: list[list[tuple[int, float]]] = [[] for _ in range(self.p)]
-        for a, b, lam in self.edges:
+        pre: list[list[int]] = [[] for _ in range(self.p)]
+        out: list[list[int]] = [[] for _ in range(self.p)]
+        for idx, (a, b, lam) in enumerate(self.edges):
             ine[b].append((a, lam))
-        object.__setattr__(self, "_in_edges", tuple(tuple(x) for x in ine))
-        object.__setattr__(self, "_predecessors", tuple(tuple(a for a, _ in x) for x in ine))
+            pre[b].append(a)
+            out[a].append(idx)
+        indeg = [len(x) for x in pre]
+        ready = [v for v, d in enumerate(indeg) if not d]  # ascending, so a heap
+        order = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for idx in out[v]:
+                w = self.edges[idx][1]
+                indeg[w] -= 1
+                if not indeg[w]:
+                    heapq.heappush(ready, w)
+        object.__setattr__(self, "_in_edges", tuple(map(tuple, ine)))
+        object.__setattr__(self, "_predecessors", tuple(map(tuple, pre)))
+        object.__setattr__(self, "_out_edges", tuple(map(tuple, out)))
+        object.__setattr__(self, "_topo", tuple(order) if len(order) == self.p else None)
 
     @property
     def k(self) -> int:
@@ -88,6 +109,10 @@ class ComputationGraph:
     @property
     def q(self) -> int:
         return len(self.edges)
+
+    @property
+    def is_dag(self) -> bool:
+        return self._topo is not None
 
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         return self._predecessors
@@ -99,6 +124,10 @@ class ComputationGraph:
 
     def in_edges(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         return self._in_edges
+
+    def out_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Indices into ``edges`` of each vertex's out-edges, ascending."""
+        return self._out_edges
 
 
 @dataclass(frozen=True)
@@ -242,25 +271,6 @@ def _check_roles(n, sources, sink, allow_sink_source=False) -> tuple[tuple[int, 
     return sources, sink
 
 
-def _toposort(p: int, edges) -> tuple[int, ...] | None:
-    indeg = [0] * p
-    suc: list[list[int]] = [[] for _ in range(p)]
-    for a, b, _ in edges:
-        indeg[b] += 1
-        suc[a].append(b)
-    ready = [v for v in range(p) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in suc[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return tuple(order) if len(order) == p else None
-
-
 def build_computation(
     p,
     edges,
@@ -298,8 +308,6 @@ def build_computation(
 
     norm = []
     seen = set()
-    indeg = [0] * p
-    outdeg = [0] * p
     for a, b, lam in edges:
         a, b, lam = int(a), int(b), float(lam)
         if not (0 <= a < p and 0 <= b < p):
@@ -313,23 +321,24 @@ def build_computation(
         if (a, b) in seen:
             raise DuplicateEdge(f"more than one edge ({a},{b})")
         seen.add((a, b))
-        indeg[b] += 1
-        outdeg[a] += 1
         norm.append((a, b, lam))
+    proc = np.array(processing, dtype=float, order="C")
+    proc.setflags(write=False)
+    cg = ComputationGraph(p=p, edges=tuple(norm), sources=sources, sink=sink, processing=proc)
+
+    ine = cg.in_edges()
     for s in sources:
-        if indeg[s] != 0:
+        if ine[s]:
             raise ValidationError(f"source {s} has incoming edges")
-    if outdeg[sink] != 0:
+    if cg.out_edges()[sink]:
         raise ValidationError("sink has outgoing edges")
     for v in range(p):
-        if indeg[v] == 0 and v not in sources and v != sink:
+        if not ine[v] and v not in sources and v != sink:
             warnings.warn(f"vertex {v} has no inputs but is not a declared source")
 
-    topo = _toposort(p, norm)
-    if require_dag and topo is None:
+    if require_dag and not cg.is_dag:
         raise CyclicGraph("computation graph contains a directed cycle")
 
-    proc = np.asarray(processing, dtype=float)
     if proc.ndim != 2 or proc.shape[0] != p:
         raise ValidationError(f"processing table must have shape (p={p}, n); got {proc.shape}")
     if (proc < 0).any():
@@ -342,42 +351,29 @@ def build_computation(
             " (pass allow_nonzero_source_processing=True to override)"
         )
 
-    if topo is not None:
-        _warn_off_path(p, norm, sources, sink)
-    proc = proc.copy()
-    proc.setflags(write=False)
-    return ComputationGraph(
-        p=p,
-        edges=tuple(norm),
-        sources=sources,
-        sink=sink,
-        processing=proc,
-        is_dag=topo is not None,
-        _topo=topo,
-    )
+    if cg.is_dag:
+        _warn_off_path(cg)
+    return cg
 
 
-def _warn_off_path(p, edges, sources, sink) -> None:
-    fwd: list[list[int]] = [[] for _ in range(p)]
-    back: list[list[int]] = [[] for _ in range(p)]
-    for a, b, _ in edges:
-        fwd[a].append(b)
-        back[b].append(a)
-
-    def reach(starts, adj):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    from_src = reach(sources, fwd)
-    to_sink = reach([sink], back)
-    off = [v for v in range(p) if v not in from_src or v not in to_sink]
+def _warn_off_path(cg: ComputationGraph) -> None:
+    edges, out, pre = cg.edges, cg.out_edges(), cg.predecessors()
+    fed = set(cg.sources)  # reached from a source
+    stack = list(fed)
+    while stack:
+        for i in out[stack.pop()]:
+            y = edges[i][1]
+            if y not in fed:
+                fed.add(y)
+                stack.append(y)
+    drains = {cg.sink}  # reaches the sink
+    stack = [cg.sink]
+    while stack:
+        for y in pre[stack.pop()]:
+            if y not in drains:
+                drains.add(y)
+                stack.append(y)
+    off = [v for v in range(cg.p) if v not in fed or v not in drains]
     if off:
         warnings.warn(f"vertices {off} lie on no source-to-sink path")
 
@@ -516,10 +512,4 @@ def validate_layering(cg: ComputationGraph, ls: LayeredStructure) -> None:
 
 def check_tree(cg: ComputationGraph) -> bool:
     """True iff every non-sink vertex has out-degree exactly 1 (sink 0)."""
-    out = [0] * cg.p
-    for a, _, _ in cg.edges:
-        out[a] += 1
-    if out[cg.sink] != 0:
-        return False
-    return all(out[v] == 1 for v in range(cg.p) if v != cg.sink)
-
+    return all(len(out) == (0 if v == cg.sink else 1) for v, out in enumerate(cg.out_edges()))

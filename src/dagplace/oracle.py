@@ -64,7 +64,6 @@ def brute_force_min_delay(
     *,
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[Embedding, DelayReport]:
-    # the topological order is computed once by the graph and shared here
     best_e = None
     best: DelayReport | None = None
     for e in enumerate_embeddings(cg, net, budget=budget):

@@ -105,16 +105,14 @@ def apply_perturbations(
     a layer-crossing edge entering it).  Bags are recomputed from the
     earliest affected layer forward, which reproduces a fresh solve exactly.
     """
-    if not edits:
-        e = Embedding(state.assignment)
-        return e, state.cost, state
-
     old_edges = set(state.edges)
     edited = set()
     for (a, b, lam), _ in edits:
         edited.add((int(a), int(b), float(lam)))
     if set(cg2.edges) != old_edges | edited or old_edges & edited:
         raise ValidationError("edited graph must equal the original plus the listed edits")
+    if not edits:
+        return Embedding(state.assignment), state.cost, state
 
     layer = list(state.layer) + [0] * (cg2.p - state.p)
     start = state.r  # recompute at least nothing; minimized below

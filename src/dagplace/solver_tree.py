@@ -24,7 +24,7 @@ def min_delay_tree(
         raise NotATree("every non-sink vertex must have out-degree exactly 1")
     n = net.n
     d = dm.dist
-    out_edge = {a: (b, lam) for a, b, lam in cg.edges}  # a non-sink vertex has one
+    edges, out = cg.edges, cg.out_edges()  # a non-sink vertex has one out-edge
     pre = cg.predecessors()
     order = cg.topological_order()
     src_image = {w: net.sources[i] for i, w in enumerate(cg.sources)}
@@ -34,7 +34,7 @@ def min_delay_tree(
     for w in order:
         if w == cg.sink:
             continue
-        lam = out_edge[w][1]
+        lam = edges[out[w][0]][2]
         if w in src_image:
             h[w] = lam * d[src_image[w]]
             x[w] = np.full(n, src_image[w], dtype=np.int64)
@@ -55,7 +55,7 @@ def min_delay_tree(
     for w in reversed(order):
         if w == cg.sink:
             continue
-        asg[w] = int(x[w][asg[out_edge[w][0]]])
+        asg[w] = int(x[w][asg[edges[out[w][0]][1]]])
     e = Embedding(assignment=tuple(asg))
     report = embedding_delay(cg, dm, e)
     _check_total(report.total, total, "DP optimum")

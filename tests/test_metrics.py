@@ -63,7 +63,7 @@ class TestCost:
                 (b, a, lam) if rng.random() < 0.5 else (a, b, lam)
                 for a, b, lam in cg.edges
             )
-            cg2 = dataclasses.replace(cg, edges=flipped, is_dag=False, _topo=None)
+            cg2 = dataclasses.replace(cg, edges=flipped)
             assert embedding_cost(cg2, dm, e) == base
 
     def test_scaling_by_alpha(self):

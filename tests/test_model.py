@@ -1,6 +1,7 @@
 import dataclasses
 import heapq
 import itertools
+import warnings
 from collections import deque
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from dagplace.errors import (
+    CyclicGraph,
     DisconnectedGraph,
     DuplicateEdge,
     NegativeWeight,
@@ -25,6 +27,7 @@ from dagplace.harness import (
     random_layered_cg,
     random_network,
 )
+from dagplace.metrics import Embedding, embedding_delay
 from dagplace.model import (
     NetworkGraph,
     apsp,
@@ -472,6 +475,47 @@ class TestComputationGraph:
         cg = dataclasses.replace(chain_cg(), edges=((0, 2, 1.0), (1, 2, 2.0)))
         assert cg.in_edges() == ((), (), ((0, 1.0), (1, 2.0)))
         assert cg.predecessors() == ((), (), (0, 1))
+        assert cg.out_edges() == ((0,), (1,), ())
+        # rewiring 0->1->2->3 to 0->2->1->3 reorders it, and so its delay
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], sources=(0,), sink=2)
+        proc = np.zeros((4, 3))
+        proc[2] = 3.0
+        chain = build_computation(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], (0,), 3, proc)
+        edges = ((0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0))
+        rewired = dataclasses.replace(chain, edges=edges)
+        fresh = build_computation(4, edges, (0,), 3, proc)
+        assert rewired.topological_order() == fresh.topological_order() == (0, 2, 1, 3)
+        dm, e = apsp(net), Embedding((0, 2, 0, 2))
+        assert embedding_delay(rewired, dm, e) == embedding_delay(fresh, dm, e)
+        assert embedding_delay(fresh, dm, e).total == 5.0
+        # ready vertices leave smallest first: 1 before 2, though 2 was ready first
+        fork_edges = ((0, 2, 1.0), (0, 1, 1.0), (2, 3, 1.0), (1, 3, 1.0))
+        fork = dataclasses.replace(chain, edges=fork_edges)
+        assert fork.topological_order() == (0, 1, 2, 3)
+        # closing a cycle leaves no order
+        cyclic = dataclasses.replace(chain, edges=chain.edges + ((3, 1, 1.0),))
+        assert not cyclic.is_dag
+        with pytest.raises(CyclicGraph):
+            cyclic.topological_order()
+        # out-edges are the edge indices of each tail, ascending
+        for name in ("prodsum", "fanin", "ladder", "loop"):
+            cg = load_fixture(name)[0]
+            for g in (cg, dataclasses.replace(cg, edges=cg.edges[::-1])):
+                for a in range(g.p):
+                    assert g.out_edges()[a] == tuple(
+                        i for i, (t, _, _) in enumerate(g.edges) if t == a
+                    )
+
+    def test_warnings_name_unfed_and_undrained_vertices(self):
+        # 1 and 2 are fed by no source, 3 drains into no sink
+        edges = [(0, 4, 1.0), (1, 2, 1.0), (2, 4, 1.0), (0, 3, 1.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_computation(5, edges, (0,), 4, np.zeros((5, 2)))
+        assert [str(w.message) for w in caught] == [
+            "vertex 1 has no inputs but is not a declared source",
+            "vertices [1, 2, 3] lie on no source-to-sink path",
+        ]
 
     def test_non_finite_sizes_and_processing(self):
         for x in (float("nan"), float("inf")):

@@ -104,6 +104,12 @@ class TestPerturbations:
         assert cost2 == cost
         assert state2 is state
 
+    def test_empty_edit_list_checks_the_graph(self):
+        cg, net, dm, (_, _, state) = solve_prodsum()
+        doubled = tuple((a, b, 2 * lam) for a, b, lam in cg.edges)
+        with pytest.raises(ValidationError, match="original plus the listed edits"):
+            apply_perturbations(state, dataclasses.replace(cg, edges=doubled), [], dm)
+
     def test_pendant_vertex_colocates(self):
         cg, net, dm, (emb, cost, state) = solve_prodsum()
         proc2 = np.zeros((8, net.n))
