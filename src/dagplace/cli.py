@@ -419,7 +419,7 @@ def load_state(path) -> tuple[NetworkDoc, ComputationDoc, LayeredStructure]:
     layer = _list(doc["layer"], "state: 'layer'")
     if len(layer) != p or not all(_is_int(x) and 1 <= x <= p for x in layer):
         raise ValidationError(f"state: 'layer' must hold {p} layer numbers in 1..{p}")
-    return ndoc, cdoc, LayeredStructure.from_layer(layer)
+    return ndoc, cdoc, LayeredStructure(layer)
 
 
 def _write_json(path, doc) -> None:
@@ -440,10 +440,6 @@ def _cmd_solve(args) -> int:
     cdoc = load_computation(args.computation, ndoc.net.n)
     _check_sources(ndoc, cdoc)
     cg, net = cdoc.cg, ndoc.net
-    dm = apsp(net)
-    budget = args.budget
-    state = None
-
     method, objective = args.method, args.objective
     ok_pairs = {
         ("tree", "mindelay"), ("collapse", "mindelay"),
@@ -452,6 +448,12 @@ def _cmd_solve(args) -> int:
     }
     if (method, objective) not in ok_pairs:
         raise PreconditionError(f"method {method!r} does not solve {objective!r}")
+    td = (load_decomposition(load_json(args.decomposition), cdoc)
+          if method == "treewidth" and args.decomposition else None)
+    if args.state_out is not None and method != "layered":
+        raise PreconditionError("--state-out requires --method layered")
+    dm = apsp(net)
+    budget = args.budget
 
     if method == "tree":
         emb, report = min_delay_tree(cg, net, dm)
@@ -464,9 +466,7 @@ def _cmd_solve(args) -> int:
         emb, value, state = min_cost_layered(cg, ls, net, dm, budget=budget)
         key = "cost"
     elif method == "treewidth":
-        if args.decomposition:
-            td = load_decomposition(load_json(args.decomposition), cdoc)
-        else:
+        if td is None:
             td = min_fill_decomposition(cg)
         emb, value = min_cost_treewidth(cg, td, net, dm, budget=budget)
         key = "cost"
@@ -482,8 +482,6 @@ def _cmd_solve(args) -> int:
                             **{key: value})
     _write_json(args.out, out)
     if args.state_out is not None:
-        if state is None:
-            raise PreconditionError("--state-out requires --method layered")
         save_state(args.state_out, state, ndoc, cdoc)
     print(f"{key} = {value!r}", file=sys.stderr)
     return EXIT_OK

@@ -214,7 +214,7 @@ def random_layered_cg(
         sink=sink,
         processing=proc,
     )
-    ls = LayeredStructure(layer=tuple(layer_map), r=r, k=max(widths))
+    ls = LayeredStructure(layer=tuple(layer_map))
     return cg, ls
 
 

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import ComputationGraph, DistanceMatrix, NetworkGraph, extract_path
+from .model import ComputationGraph, DistanceMatrix, NetworkGraph, extract_path, pinned_images
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,11 @@ def validate_embedding(cg: ComputationGraph, net: NetworkGraph, e: Embedding) ->
     for v in e.assignment:
         if not 0 <= v < net.n:
             raise ValidationError(f"embedding target {v} outside the network")
-    if net.sink is None or len(net.sources) != len(cg.sources):
-        raise ValidationError("network roles do not match the computation graph")
-    for i, s in enumerate(cg.sources):
-        if e.assignment[s] != net.sources[i]:
-            raise ValidationError(f"source {s} must map to network source {net.sources[i]}")
-    if e.assignment[cg.sink] != net.sink:
+    pinned = pinned_images(cg, net)
+    for s in cg.sources:
+        if e.assignment[s] != pinned[s]:
+            raise ValidationError(f"source {s} must map to network source {pinned[s]}")
+    if e.assignment[cg.sink] != pinned[cg.sink]:
         raise ValidationError("sink must map to the network sink")
 
 

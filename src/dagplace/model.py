@@ -174,17 +174,19 @@ class LayeredStructure:
 
     ``layer[w]`` is in 1..r; every edge stays within a layer or crosses to the
     next one, all sources sit at layer 1 and the sink is alone at layer r.
+    Only ``layer`` is passed in; ``__post_init__`` derives ``r`` (the deepest
+    label) and ``k`` (the widest layer), so they cannot disagree with it.
     """
 
     layer: tuple[int, ...]
-    r: int
-    k: int
+    r: int = field(init=False, compare=False)
+    k: int = field(init=False, compare=False)
 
-    @classmethod
-    def from_layer(cls, layer) -> "LayeredStructure":
-        """The structure of a labelling: r is its deepest layer, k its widest."""
-        layer = tuple(layer)
-        return cls(layer, r=max(layer), k=max(map(layer.count, set(layer))))
+    def __post_init__(self):
+        layer = tuple(self.layer)
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "r", max(layer, default=0))
+        object.__setattr__(self, "k", max(map(layer.count, set(layer)), default=0))
 
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """Vertices of each layer, ordered by vertex id; index 0 is layer 1."""
@@ -192,6 +194,17 @@ class LayeredStructure:
         for w, l in enumerate(self.layer):
             out[l - 1].append(w)
         return tuple(tuple(x) for x in out)
+
+
+def pinned_images(cg: ComputationGraph, net: NetworkGraph) -> dict[int, int]:
+    """Network node of each pinned vertex: the i-th source of ``cg`` goes to
+    the i-th source of ``net``, the sink to the sink, and the rest are free.
+    Raises ValidationError unless ``net`` has as many sources as ``cg`` and a sink."""
+    if net.sink is None or len(net.sources) != len(cg.sources):
+        raise ValidationError("network roles do not match the computation graph")
+    pinned = dict(zip(cg.sources, net.sources))
+    pinned[cg.sink] = net.sink
+    return pinned
 
 
 def _components(n: int, edges) -> list[set[int]]:
@@ -480,7 +493,7 @@ def infer_layering(cg: ComputationGraph) -> LayeredStructure:
     for v in topo:
         if pre[v]:
             layer[v] = max(layer[u] for u in pre[v]) + 1
-    ls = LayeredStructure.from_layer(layer)
+    ls = LayeredStructure(layer)
     validate_layering(cg, ls)
     return ls
 
@@ -489,7 +502,7 @@ def validate_layering(cg: ComputationGraph, ls: LayeredStructure) -> None:
     """Check an externally supplied layer labelling against its invariants."""
     if len(ls.layer) != cg.p:
         raise NotLayered("layer map size does not match vertex count")
-    if any(not 1 <= l <= ls.r for l in ls.layer):
+    if any(l < 1 for l in ls.layer):
         raise NotLayered("layer labels must lie in 1..r")
     for a, b, _ in cg.edges:
         if ls.layer[b] - ls.layer[a] not in (0, 1):
@@ -501,13 +514,8 @@ def validate_layering(cg: ComputationGraph, ls: LayeredStructure) -> None:
         raise SinkNotLast("sink not on the last layer")
     if [v for v in range(cg.p) if ls.layer[v] == ls.r] != [cg.sink]:
         raise SinkNotLast("last layer must hold the sink alone")
-    widths = [0] * ls.r
-    for l in ls.layer:
-        widths[l - 1] += 1
-    if min(widths) < 1:
+    if len(set(ls.layer)) != ls.r:  # labels lie in 1..r, so one is missing
         raise NotLayered("every layer needs at least one vertex")
-    if max(widths) != ls.k:
-        raise NotLayered(f"declared width {ls.k} but widths are {widths}")
 
 
 def check_tree(cg: ComputationGraph) -> bool:

@@ -10,30 +10,25 @@ import itertools
 
 from .errors import BudgetExceeded
 from .metrics import DelayReport, Embedding, embedding_cost, embedding_delay
-from .model import ComputationGraph, DistanceMatrix, NetworkGraph
+from .model import ComputationGraph, DistanceMatrix, NetworkGraph, pinned_images
 from .solver_treewidth import DEFAULT_TABLE_BUDGET
-
-
-def free_vertices(cg: ComputationGraph) -> list[int]:
-    pinned = set(cg.sources) | {cg.sink}
-    return [w for w in range(cg.p) if w not in pinned]
 
 
 def enumerate_embeddings(cg: ComputationGraph, net: NetworkGraph, *, budget: int = DEFAULT_TABLE_BUDGET):
     """Yield every embedding exactly once, pinned vertices fixed.
 
-    Raises BudgetExceeded when n**(number of free vertices) exceeds ``budget``.
+    Raises ValidationError when the network's roles do not match ``cg`` (see
+    ``model.pinned_images``) and BudgetExceeded when n**(number of free
+    vertices) exceeds ``budget``.
     """
-    free = free_vertices(cg)
+    pinned = pinned_images(cg, net)
+    free = [w for w in range(cg.p) if w not in pinned]
     count = net.n ** len(free)
     if count > budget:
         raise BudgetExceeded(
             f"{net.n}^{len(free)} = {count} embeddings exceeds the budget of {budget}"
         )
-    base = [0] * cg.p
-    for i, s in enumerate(cg.sources):
-        base[s] = net.sources[i]
-    base[cg.sink] = net.sink
+    base = [pinned.get(w, 0) for w in range(cg.p)]
     for images in itertools.product(range(net.n), repeat=len(free)):
         asg = base[:]
         for w, v in zip(free, images):

@@ -24,25 +24,22 @@ from .model import (
     DistanceMatrix,
     LayeredStructure,
     NetworkGraph,
+    pinned_images,
     validate_layering,
 )
-from .solver_treewidth import (
-    DEFAULT_TABLE_BUDGET,
-    _pinned_map,
-    _solve_bags,
-    layered_path_decomposition,
-)
+from .solver_treewidth import DEFAULT_TABLE_BUDGET, _solve_bags, layered_path_decomposition
 
 
 @dataclass(frozen=True)
 class LayeredDPState:
-    """Frozen snapshot of one layered solve, sufficient for incremental edits."""
+    """Frozen snapshot of one layered solve, sufficient for incremental edits.
 
-    p: int
-    edges: tuple[tuple[int, int, float], ...]
-    layer: tuple[int, ...]
-    r: int
-    k: int
+    It holds the solved graph ``cg`` and layering ``ls``, not copies of their
+    fields; ``p``, ``layer`` and ``r`` are read-only views for callers that
+    read a state's shape (the benchmark's work counts do)."""
+
+    cg: ComputationGraph
+    ls: LayeredStructure
     n: int
     pinned: tuple[tuple[int, int], ...]  # (computation vertex, network node)
     # h[i]: (min, argmin) message of bag i (layers i+1, i+2) to bag i+1; one
@@ -51,17 +48,26 @@ class LayeredDPState:
     cost: float
     assignment: tuple[int, ...]
 
+    @property
+    def p(self) -> int:
+        return self.cg.p
 
-def _solve(cg, ls, pinned, n, dm, k, budget, reuse=()):
+    @property
+    def layer(self) -> tuple[int, ...]:
+        return self.ls.layer
+
+    @property
+    def r(self) -> int:
+        return self.ls.r
+
+
+def _solve(cg, ls, pinned, n, dm, budget, reuse=()):
     """Run the bag engine on the path decomposition of ``ls``; keep its messages."""
     td = layered_path_decomposition(ls, cg)
     e, cost, messages = _solve_bags(cg, td, pinned, dm, budget, reuse)
     state = LayeredDPState(
-        p=cg.p,
-        edges=cg.edges,
-        layer=ls.layer,
-        r=ls.r,
-        k=k,
+        cg=cg,
+        ls=ls,
         n=n,
         pinned=tuple(sorted(pinned.items())),
         h=messages[:-1],  # the root is the last bag and sends nothing
@@ -85,7 +91,7 @@ def min_cost_layered(
     assignment tuple.
     """
     validate_layering(cg, ls)
-    return _solve(cg, ls, _pinned_map(cg, net), net.n, dm, ls.k, budget)
+    return _solve(cg, ls, pinned_images(cg, net), net.n, dm, budget)
 
 
 def apply_perturbations(
@@ -102,14 +108,16 @@ def apply_perturbations(
     additions already present in ``cg2``; new vertices use ids >= the original
     vertex count and the edit's ``layer`` places them.  For an edit between
     two existing vertices the layer must match the edge's tail (or head, for
-    a layer-crossing edge entering it).  Bags are recomputed from the
-    earliest affected layer forward, which reproduces a fresh solve exactly.
+    a layer-crossing edge entering it); ``cg2`` keeps the roles and processing
+    rows of the original vertices.  Bags are recomputed from the earliest
+    affected layer forward, which reproduces a fresh solve exactly.
     """
-    old_edges = set(state.edges)
-    edited = set()
-    for (a, b, lam), _ in edits:
-        edited.add((int(a), int(b), float(lam)))
-    if set(cg2.edges) != old_edges | edited or old_edges & edited:
+    cg = state.cg
+    old_edges = set(cg.edges)
+    edited = {(int(a), int(b), float(lam)) for (a, b, lam), _ in edits}
+    if (set(cg2.edges) != old_edges | edited or old_edges & edited
+            or (cg2.sources, cg2.sink) != (cg.sources, cg.sink)
+            or not np.array_equal(cg2.processing[: cg.p], cg.processing)):
         raise ValidationError("edited graph must equal the original plus the listed edits")
     if not edits:
         return Embedding(state.assignment), state.cost, state
@@ -135,13 +143,11 @@ def apply_perturbations(
     if any(l == 0 for l in layer):
         raise DanglingEdit("a new vertex was added without any edit naming it")
 
-    ls2 = LayeredStructure.from_layer(layer)
-    if ls2.k > state.k:
-        raise WidthExceeded(f"a layer of {ls2.k} vertices exceeds the original bound k={state.k}")
+    ls2 = LayeredStructure(layer)
+    if ls2.k > state.ls.k:
+        raise WidthExceeded(
+            f"a layer of {ls2.k} vertices exceeds the original bound k={state.ls.k}")
     validate_layering(cg2, ls2)
-    pinned = dict(state.pinned)
-    if any(s not in pinned for s in cg2.sources) or cg2.sink not in pinned:
-        raise ValidationError("edits must not change the pinned sources or sink")
 
     # bags 0..start-2 hold layers 1..start only and see no edit
-    return _solve(cg2, ls2, pinned, state.n, dm, state.k, budget, state.h[: start - 1])
+    return _solve(cg2, ls2, dict(state.pinned), state.n, dm, budget, state.h[: start - 1])

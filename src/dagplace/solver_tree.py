@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotATree, PreconditionViolated
 from .metrics import DelayReport, Embedding, embedding_delay
-from .model import ComputationGraph, DistanceMatrix, NetworkGraph, check_tree
+from .model import ComputationGraph, DistanceMatrix, NetworkGraph, check_tree, pinned_images
 
 
 def min_delay_tree(
@@ -27,7 +27,7 @@ def min_delay_tree(
     edges, out = cg.edges, cg.out_edges()  # a non-sink vertex has one out-edge
     pre = cg.predecessors()
     order = cg.topological_order()
-    src_image = {w: net.sources[i] for i, w in enumerate(cg.sources)}
+    pinned = pinned_images(cg, net)
 
     h: dict[int, np.ndarray] = {}
     x: dict[int, np.ndarray] = {}
@@ -35,9 +35,9 @@ def min_delay_tree(
         if w == cg.sink:
             continue
         lam = edges[out[w][0]][2]
-        if w in src_image:
-            h[w] = lam * d[src_image[w]]
-            x[w] = np.full(n, src_image[w], dtype=np.int64)
+        if w in pinned:  # a source; the sink was skipped above
+            h[w] = lam * d[pinned[w]]
+            x[w] = np.full(n, pinned[w], dtype=np.int64)
         else:
             base = np.zeros(n)
             for u in pre[w]:
@@ -47,7 +47,7 @@ def min_delay_tree(
             x[w] = table.argmin(axis=0)
             h[w] = table[x[w], np.arange(n)]
 
-    t = net.sink
+    t = pinned[cg.sink]
     total = max((h[u][t] for u in pre[cg.sink]), default=0.0) + cg.processing[cg.sink, t]
 
     asg = [0] * cg.p
@@ -71,10 +71,8 @@ def min_delay_collapse(
         raise PreconditionViolated("collapse requires zero processing everywhere")
     if any(lam != 1.0 for _, _, lam in cg.edges):
         raise PreconditionViolated("collapse requires unit computation-edge weights")
-    asg = [net.sink] * cg.p
-    for i, w in enumerate(cg.sources):
-        asg[w] = net.sources[i]
-    e = Embedding(assignment=tuple(asg))
+    pinned = pinned_images(cg, net)
+    e = Embedding(assignment=tuple(pinned.get(w, net.sink) for w in range(cg.p)))
     report = embedding_delay(cg, dm, e)
     bound = max(dm.dist[s, net.sink] for s in net.sources)
     _check_total(report.total, bound, "farthest-source bound")

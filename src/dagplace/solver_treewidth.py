@@ -22,6 +22,7 @@ from .model import (
     DistanceMatrix,
     LayeredStructure,
     NetworkGraph,
+    pinned_images,
 )
 
 DEFAULT_TABLE_BUDGET = 10**7
@@ -56,11 +57,6 @@ class TreeDecomposition:
                 seen.add(c)
                 stack.append(c)
         return out
-
-
-def check_decomposition(cg: ComputationGraph, bags, tree_edges) -> None:
-    """Verify the three decomposition conditions; raise InvalidDecomposition."""
-    make_decomposition(cg, bags, tree_edges)
 
 
 def make_decomposition(cg: ComputationGraph, bags, tree_edges) -> TreeDecomposition:
@@ -189,12 +185,6 @@ def min_fill_decomposition(cg: ComputationGraph) -> TreeDecomposition:
     return make_decomposition(cg, elim_bag, tree_edges)
 
 
-def _pinned_map(cg: ComputationGraph, net: NetworkGraph) -> dict[int, int]:
-    pinned = {w: net.sources[i] for i, w in enumerate(cg.sources)}
-    pinned[cg.sink] = net.sink
-    return pinned
-
-
 def _message(table: np.ndarray, free: list[int], parent_bag) -> tuple[np.ndarray, np.ndarray]:
     """Min and argmin of a bag table over its axes outside ``parent_bag``.
 
@@ -296,10 +286,12 @@ def min_cost_treewidth(
 ) -> tuple[Embedding, float]:
     """Minimum-cost embedding using the supplied decomposition; exact.
 
+    Only ``td.bags`` and ``td.tree_edges`` are read: ``make_decomposition``
+    validates them against ``cg`` and derives the root and home bags anew.
     Ties go to the lexicographically smallest assignment per bag, resolved
     root-down.  ``budget`` bounds the cells of the largest bag table, counting
     only unpinned vertices.
     """
-    check_decomposition(cg, td.bags, td.tree_edges)
-    emb, cost, _ = _solve_bags(cg, td, _pinned_map(cg, net), dm, budget)
+    td = make_decomposition(cg, td.bags, td.tree_edges)
+    emb, cost, _ = _solve_bags(cg, td, pinned_images(cg, net), dm, budget)
     return emb, cost

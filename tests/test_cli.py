@@ -168,6 +168,20 @@ def test_exit_codes(tmp_path):
     ]) == 2
 
 
+def test_state_out_is_refused_before_the_solve(tmp_path, capsys):
+    out, state = tmp_path / "o.json", tmp_path / "s.json"
+    argv = ["solve", "--objective", "mindelay", "--method", "tree", "--network",
+            fx("fanin_net.json"), "--computation", fx("fanin_cg.json"),
+            "--out", str(out), "--state-out", str(state)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: --state-out requires --method layered\n"
+    assert not out.exists() and not state.exists()
+    # a malformed input file still exits 2 first
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    assert main([str(bad) if a.endswith("fanin_net.json") else a for a in argv]) == 2
+
+
 # name -> (bundled document, a command line that reads it); BAD stands for the
 # document under test, other *.json words for bundled files, STATE for the
 # state file of a layered solve of prodsum and OUT for an output file
@@ -478,7 +492,7 @@ def test_chained_perturb_equals_a_fresh_solve(tmp_path):
     _, cdoc = load_edits(load_json(fx("prodsum_edits.json")), cdoc)
     _, cdoc = load_edits(edits2, cdoc)
     # x1 x2 x3 sum12 sum23 prod out tap tap2
-    ls = LayeredStructure(layer=(1, 1, 1, 2, 2, 3, 4, 3, 3), r=4, k=3)
+    ls = LayeredStructure(layer=(1, 1, 1, 2, 2, 3, 4, 3, 3))
     emb, cost, _ = min_cost_layered(cdoc.cg, ls, ndoc.net, apsp(ndoc.net))
     assert chained["cost"] == cost
     assert chained["map"] == {cdoc.names[w]: ndoc.names[v] for w, v in enumerate(emb.assignment)}

@@ -28,6 +28,10 @@ from dagplace.harness import (
     random_network,
 )
 from dagplace.metrics import Embedding, embedding_delay
+from dagplace.oracle import brute_force_min_cost, brute_force_min_delay
+from dagplace.solver_layered import min_cost_layered
+from dagplace.solver_tree import min_delay_collapse, min_delay_tree
+from dagplace.solver_treewidth import min_cost_treewidth, min_fill_decomposition
 from dagplace.model import (
     NetworkGraph,
     apsp,
@@ -543,3 +547,24 @@ class TestCheckTree:
         for _ in range(10):
             p = int(rng.integers(3, 33))
             assert check_tree(random_binary_tree_cg(p, 4, rng))
+
+
+# every solver pins through model.pinned_images; an entry takes (cg, net, dm)
+SOLVERS = {
+    "min_delay_tree": min_delay_tree,
+    "min_delay_collapse": min_delay_collapse,
+    "min_cost_layered": lambda cg, net, dm: min_cost_layered(cg, infer_layering(cg), net, dm),
+    "min_cost_treewidth":
+        lambda cg, net, dm: min_cost_treewidth(cg, min_fill_decomposition(cg), net, dm),
+    "brute_force_min_cost": brute_force_min_cost,
+    "brute_force_min_delay": brute_force_min_delay,
+}
+
+
+@pytest.mark.parametrize("roles", [((0, 1), 3), ((), None)], ids=["extra-source", "no-roles"])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solvers_refuse_roles_that_do_not_match(solver, roles):
+    # the chain is a tree, layered and collapsible, so only the roles are wrong
+    net = build_network(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], *roles)
+    with pytest.raises(ValidationError, match="network roles do not match the computation graph"):
+        SOLVERS[solver](chain_cg(4), net, apsp(net))

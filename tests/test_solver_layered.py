@@ -12,6 +12,7 @@ from dagplace.model import (
     LayeredStructure,
     apsp,
     build_computation,
+    build_network,
     infer_layering,
 )
 from dagplace.oracle import brute_force_min_cost
@@ -25,10 +26,14 @@ def solve_prodsum():
 
 
 def assert_states_equal(a, b):
-    """Every field equal, the message arrays of ``h`` element by element."""
+    """Every field equal: the graph ``cg`` by its fields, its processing table
+    and the message arrays of ``h`` element by element."""
     for f in dataclasses.fields(a):
-        if f.name != "h":
+        if f.name not in ("cg", "h"):
             assert getattr(a, f.name) == getattr(b, f.name), f.name
+    for name in ("p", "edges", "sources", "sink"):
+        assert getattr(a.cg, name) == getattr(b.cg, name), name
+    assert np.array_equal(a.cg.processing, b.cg.processing)
     assert len(a.h) == len(b.h)
     for (min_a, arg_a), (min_b, arg_b) in zip(a.h, b.h):
         assert np.array_equal(min_a, min_b)
@@ -82,7 +87,7 @@ def test_intra_layer_edges_supported():
     cg = build_computation(
         4, [(0, 1, 1.0), (0, 3, 2.0), (3, 1, 1.0), (1, 2, 1.0)], (0,), 2, proc
     )
-    ls = LayeredStructure(layer=(1, 2, 3, 2), r=3, k=2)
+    ls = LayeredStructure(layer=(1, 2, 3, 2))
     dm = apsp(net)
     emb, cost, _ = min_cost_layered(cg, ls, net, dm)
     _, best = brute_force_min_cost(cg, net, dm)
@@ -107,8 +112,15 @@ class TestPerturbations:
     def test_empty_edit_list_checks_the_graph(self):
         cg, net, dm, (_, _, state) = solve_prodsum()
         doubled = tuple((a, b, 2 * lam) for a, b, lam in cg.edges)
-        with pytest.raises(ValidationError, match="original plus the listed edits"):
-            apply_perturbations(state, dataclasses.replace(cg, edges=doubled), [], dm)
+        proc = cg.processing * 3 + 1
+        proc[list(cg.sources)] = 0
+        for cg2 in (
+            dataclasses.replace(cg, edges=doubled),
+            dataclasses.replace(cg, processing=proc),
+            dataclasses.replace(cg, sources=cg.sources[::-1]),
+        ):
+            with pytest.raises(ValidationError, match="original plus the listed edits"):
+                apply_perturbations(state, cg2, [], dm)
 
     def test_pendant_vertex_colocates(self):
         cg, net, dm, (emb, cost, state) = solve_prodsum()
@@ -161,6 +173,22 @@ class TestPerturbations:
         cg, net, dm, (_, _, state) = solve_prodsum()
         with pytest.raises(ValidationError):
             apply_perturbations(state, cg, [((5, 7, 1.0), 3)], dm)
+
+    def test_changed_processing_in_a_reused_bag_rejected(self):
+        # five layers {0} {1,2} {3,4} {5} {6}; a pendant on layer 4 re-plans
+        # from bag 2 on and reuses bag 1, the home of vertices 1 and 2
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 2.0)], sources=(0,), sink=2)
+        edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 5, 1.0),
+                 (4, 5, 1.0), (5, 6, 1.0)]
+        proc = np.zeros((8, 3))
+        proc[1:6] = [1, 2, 0]
+        cg = build_computation(7, edges, (0,), 6, proc[:7])
+        dm = apsp(net)
+        _, _, state = min_cost_layered(cg, infer_layering(cg), net, dm)
+        proc[1:3] = proc[1:3] * 3 + 1
+        cg2 = build_computation(8, edges + [(3, 7, 1.0)], (0,), 6, proc)
+        with pytest.raises(ValidationError, match="original plus the listed edits"):
+            apply_perturbations(state, cg2, [((3, 7, 1.0), 4)], dm)
 
     def test_state_round_trips_through_pickle(self):
         cg, net, dm, (emb, cost, state) = solve_prodsum()
@@ -239,5 +267,5 @@ def _random_perturbation_case(rng):
     for (a, b, _), lay in edits:
         if max(a, b) >= cg.p:
             layer2[max(a, b)] = lay
-    ls2 = LayeredStructure(layer=tuple(layer2), r=r, k=max(widths))
+    ls2 = LayeredStructure(layer=tuple(layer2))
     return state, cg2, edits, ls2, pnet, dm

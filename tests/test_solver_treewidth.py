@@ -2,16 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_decomposition_fixture, load_fixture, place_roles
 from dagplace.errors import BudgetExceeded, InvalidDecomposition
 from dagplace.harness import random_connected_network, random_layered_cg
 from dagplace.metrics import embedding_cost
-from dagplace.model import apsp, build_computation, build_network, infer_layering
+from dagplace.model import (
+    LayeredStructure,
+    apsp,
+    build_computation,
+    build_network,
+    infer_layering,
+)
 from dagplace.oracle import brute_force_min_cost
 from dagplace.solver_layered import min_cost_layered
 from dagplace.solver_treewidth import (
-    check_decomposition,
     layered_path_decomposition,
     make_decomposition,
     min_cost_treewidth,
@@ -55,7 +62,7 @@ class TestMinFill:
         cg, _ = load_fixture("loop")
         td = min_fill_decomposition(cg)
         assert td.width == 2
-        check_decomposition(cg, td.bags, td.tree_edges)
+        make_decomposition(cg, td.bags, td.tree_edges)
 
     def test_tree_width_one(self):
         assert min_fill_decomposition(load_fixture("fanin")[0]).width == 1
@@ -72,7 +79,7 @@ class TestMinFill:
             for bags in itertools.combinations(small_bags, count):
                 for tree in _all_trees(count):
                     try:
-                        check_decomposition(tri, bags, tree)
+                        make_decomposition(tri, bags, tree)
                         found = True
                     except InvalidDecomposition:
                         pass
@@ -170,6 +177,21 @@ class TestMinCostTreewidth:
             assert emb_l.assignment == emb_p.assignment
             checked += 1
 
+    def test_homes_come_from_the_graph_solved(self):
+        # the decomposition is built for the chain; the extra edge (0, 2) lies
+        # inside bag 0, so the bags fit both graphs but the homes do not
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], sources=(0,), sink=2)
+        chain = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+        td = make_decomposition(build_computation(4, chain, (0,), 3, np.zeros((4, 3))),
+                                [(0, 1, 2), (2, 3)], [(0, 1)])
+        proc = np.zeros((4, 3))
+        proc[2] = [3, 3, 0]
+        cg = build_computation(4, chain + [(0, 2, 5.0)], (0,), 3, proc)
+        dm = apsp(net)
+        emb, cost = min_cost_treewidth(cg, td, net, dm)
+        assert cost == brute_force_min_cost(cg, net, dm)[1] == 5
+        assert embedding_cost(cg, dm, emb) == cost
+
     def test_budget_counts_free_cells_only(self):
         cg, net = load_fixture("prodsum")
         dm = apsp(net)
@@ -185,6 +207,55 @@ class TestMinCostTreewidth:
         td = make_decomposition(cg, [tuple(range(7))], [])
         with pytest.raises(BudgetExceeded):
             min_cost_treewidth(cg, td, net, apsp(net), budget=10)
+
+
+# multiples of 0.5, so every solver's sum is exact whatever its order
+_HALVES = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def layered_instances(draw):
+    """(graph, layering, network): up to three layers of one or two vertices
+    and the sink, edges from the previous layer or an earlier vertex of the
+    same layer, and a network of k+1..4 nodes whose roles match the graph.
+    Edge sizes, processing and link weights may all be zero."""
+    widths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)) + [1]
+    layer = [l + 1 for l, width in enumerate(widths) for _ in range(width)]
+    p, k = len(layer), widths[0]
+    edges = []
+    for w in range(k, p):
+        tails = [u for u in range(w) if layer[u] == layer[w] - 1]
+        tails += [u for u in range(k, w) if layer[u] == layer[w]]
+        for u in draw(st.lists(st.sampled_from(tails), min_size=1, unique=True)):
+            edges.append((u, w, draw(_HALVES)))
+    n = draw(st.integers(k + 1, 4))
+    proc = np.zeros((p, n))
+    proc[k:] = np.reshape(draw(st.lists(_HALVES, min_size=(p - k) * n,
+                                        max_size=(p - k) * n)), (p - k, n))
+    links = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    links |= draw(st.sets(st.sampled_from([(u, v) for v in range(n) for u in range(v)])))
+    roles = draw(st.permutations(range(n)))
+    net = build_network(n, [(u, v, draw(_HALVES)) for u, v in sorted(links)],
+                        roles[:k], roles[k])
+    cg = build_computation(p, edges, range(k), p - 1, proc)
+    return cg, LayeredStructure(tuple(layer)), net
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(layered_instances())
+def test_property_cost_solvers_agree(instance):
+    cg, ls, net = instance
+    dm = apsp(net)
+    solves = [
+        min_cost_layered(cg, ls, net, dm)[:2],
+        min_cost_treewidth(cg, layered_path_decomposition(ls, cg), net, dm),
+        min_cost_treewidth(cg, min_fill_decomposition(cg), net, dm),
+        brute_force_min_cost(cg, net, dm),
+    ]
+    best = solves[-1][1]
+    for emb, cost in solves:
+        assert cost == best
+        assert embedding_cost(cg, dm, emb) == cost
 
 
 def _cyclic_embeddings(cg, net):
@@ -252,21 +323,21 @@ class TestDecompositionValidation:
     def test_missing_edge_coverage(self):
         cg, _ = load_fixture("prodsum")
         with pytest.raises(InvalidDecomposition):
-            check_decomposition(cg, [(0, 1, 2, 3, 4), (5, 6)], [(0, 1)])
+            make_decomposition(cg, [(0, 1, 2, 3, 4), (5, 6)], [(0, 1)])
 
     def test_disconnected_occurrence(self):
         cg = build_computation(
             3, [(0, 1, 1.0), (1, 2, 1.0)], (0,), 2, np.zeros((3, 2))
         )
         with pytest.raises(InvalidDecomposition):
-            check_decomposition(cg, [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)])
+            make_decomposition(cg, [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)])
 
     def test_not_a_tree(self):
         cg = build_computation(
             3, [(0, 1, 1.0), (1, 2, 1.0)], (0,), 2, np.zeros((3, 2))
         )
         with pytest.raises(InvalidDecomposition):
-            check_decomposition(cg, [(0, 1), (1, 2)], [])
+            make_decomposition(cg, [(0, 1), (1, 2)], [])
 
     def test_every_emitted_decomposition_is_valid(self):
         rng = np.random.default_rng(31)
@@ -274,7 +345,7 @@ class TestDecompositionValidation:
             n = int(rng.integers(2, 5))
             cg, ls = random_layered_cg(int(rng.integers(2, 5)), 3, n, rng)
             for td in (min_fill_decomposition(cg), layered_path_decomposition(ls, cg)):
-                check_decomposition(cg, td.bags, td.tree_edges)
+                make_decomposition(cg, td.bags, td.tree_edges)
                 # charging uniqueness: every vertex and edge has one home bag
                 assert len(td.vertex_home) == cg.p
                 assert len(td.edge_home) == cg.q
