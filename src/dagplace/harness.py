@@ -97,19 +97,19 @@ def random_network(
     """
     if n < 2:
         raise ValueError("need at least two nodes")
+    if weight_model not in ("unit", "randint"):
+        raise ValueError(f"unknown weight model {weight_model!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    tails, heads = np.triu_indices(n, 1)  # pairs u < v in row-major order
     for attempt in range(max_resamples):
-        mask = rng.random(len(pairs)) < p_r
-        chosen = [p for p, m in zip(pairs, mask) if m]
+        mask = rng.random(tails.size) < p_r
+        count = int(np.count_nonzero(mask))
         if weight_model == "unit":
-            weights = [1.0] * len(chosen)
-        elif weight_model == "randint":
-            lo, hi = weight_range
-            weights = [float(x) for x in rng.integers(lo, hi + 1, size=len(chosen))]
+            weights = [1.0] * count
         else:
-            raise ValueError(f"unknown weight model {weight_model!r}")
-        edges = [(u, v, w) for (u, v), w in zip(chosen, weights)]
+            lo, hi = weight_range
+            weights = rng.integers(lo, hi + 1, size=count).astype(float).tolist()
+        edges = list(zip(tails[mask].tolist(), heads[mask].tolist(), weights))
         if len(_components(n, edges)) == 1:
             if attempt:
                 logger.debug("connected after %d resamples (n=%d, p_r=%g)",

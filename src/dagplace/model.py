@@ -54,7 +54,7 @@ class NetworkGraph:
         return replace(self, sources=sources, sink=sink)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComputationGraph:
     """Weighted computation DAG with a per-(vertex, network node) processing table.
 
@@ -66,6 +66,8 @@ class ComputationGraph:
     from ``edges`` by ``__post_init__`` and cannot be passed in, so
     ``dataclasses.replace`` rebuilds them.  The order is Kahn's, smallest
     ready vertex first, and None on a cycle (then ``is_dag`` is False).
+    Equality and hashing are by identity: ``processing`` is an ndarray, whose
+    ``==`` has no truth value.
     """
 
     p: int
@@ -73,10 +75,10 @@ class ComputationGraph:
     sources: tuple[int, ...]
     sink: int
     processing: np.ndarray  # (p, n); treated as read-only
-    _in_edges: tuple = field(init=False, repr=False, compare=False)
-    _predecessors: tuple = field(init=False, repr=False, compare=False)
-    _out_edges: tuple = field(init=False, repr=False, compare=False)
-    _topo: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    _in_edges: tuple = field(init=False, repr=False)
+    _predecessors: tuple = field(init=False, repr=False)
+    _out_edges: tuple = field(init=False, repr=False)
+    _topo: tuple[int, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         ine: list[list[tuple[int, float]]] = [[] for _ in range(self.p)]
@@ -130,7 +132,7 @@ class ComputationGraph:
         return self._out_edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """All-pairs shortest path weights, with shortest paths built on demand.
 
@@ -149,11 +151,12 @@ class DistanceMatrix:
     zero-weight cycles are never walked.  h counts every tight link, so the
     chosen path need not have the fewest hops of all shortest paths.
     Each source's choices are built on its first request and cached.
+    Equality and hashing are by identity, as for ``ComputationGraph``.
     """
 
     dist: np.ndarray  # (n, n) float
     weight: np.ndarray  # (n, n) float, inf off the links
-    _parents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _parents: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -1,17 +1,43 @@
 """Exhaustive exact solvers; the ground truth for every optimizer at desk scale.
 
-Embeddings are streamed in lexicographic order of the free-vertex images, so
-minima are deterministic (first-found tie kept) and memory stays constant.
+Embeddings run in lexicographic order of the free-vertex images, the first
+free vertex most significant (``itertools.product`` order), so they run in
+order of their assignment tuples.  They are scored in blocks of up to
+``BLOCK`` embeddings as arrays, each term added in the same order as
+``embedding_cost`` and ``embedding_delay`` add it, so every score is the same
+float.  A minimum keeps the first-found tie: the first one in its block, and a
+later block's only when strictly smaller.  Memory is bounded by one block.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from .errors import BudgetExceeded
 from .metrics import DelayReport, Embedding, embedding_cost, embedding_delay
 from .model import ComputationGraph, DistanceMatrix, NetworkGraph, pinned_images
 from .solver_treewidth import DEFAULT_TABLE_BUDGET
+
+BLOCK = 2**14  # embeddings scored per array pass
+
+
+def _blocks(cg: ComputationGraph, net: NetworkGraph, budget: int):
+    """Yield (p, m) int arrays, row w the images of vertex w in m consecutive
+    embeddings; m is at most BLOCK."""
+    pinned = pinned_images(cg, net)
+    free = [w for w in range(cg.p) if w not in pinned]
+    count = net.n ** len(free)
+    if count > budget:
+        raise BudgetExceeded(
+            f"{net.n}^{len(free)} = {count} embeddings exceeds the budget of {budget}"
+        )
+    base = np.array([pinned.get(w, 0) for w in range(cg.p)], dtype=np.intp)
+    for lo in range(0, count, BLOCK):
+        hi = min(lo + BLOCK, count)
+        asg = np.repeat(base[:, None], hi - lo, axis=1)
+        if free:
+            asg[free] = np.unravel_index(np.arange(lo, hi), (net.n,) * len(free))
+        yield asg
 
 
 def enumerate_embeddings(cg: ComputationGraph, net: NetworkGraph, *, budget: int = DEFAULT_TABLE_BUDGET):
@@ -21,19 +47,20 @@ def enumerate_embeddings(cg: ComputationGraph, net: NetworkGraph, *, budget: int
     ``model.pinned_images``) and BudgetExceeded when n**(number of free
     vertices) exceeds ``budget``.
     """
-    pinned = pinned_images(cg, net)
-    free = [w for w in range(cg.p) if w not in pinned]
-    count = net.n ** len(free)
-    if count > budget:
-        raise BudgetExceeded(
-            f"{net.n}^{len(free)} = {count} embeddings exceeds the budget of {budget}"
-        )
-    base = [pinned.get(w, 0) for w in range(cg.p)]
-    for images in itertools.product(range(net.n), repeat=len(free)):
-        asg = base[:]
-        for w, v in zip(free, images):
-            asg[w] = v
-        yield Embedding(assignment=tuple(asg))
+    for asg in _blocks(cg, net, budget):
+        for row in asg.T.tolist():
+            yield Embedding(assignment=tuple(row))
+
+
+def _argmin_over_blocks(blocks, score):
+    """Assignment tuple of the first embedding of least score."""
+    best_asg, best = None, None
+    for asg in blocks:
+        values = score(asg)
+        i = int(np.argmin(values))
+        if best is None or values[i] < best:
+            best, best_asg = values[i], asg[:, i]
+    return Embedding(assignment=tuple(best_asg.tolist()))
 
 
 def brute_force_min_cost(
@@ -43,13 +70,18 @@ def brute_force_min_cost(
     *,
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[Embedding, float]:
-    best_e = None
-    best = float("inf")
-    for e in enumerate_embeddings(cg, net, budget=budget):
-        c = embedding_cost(cg, dm, e)
-        if c < best:
-            best, best_e = c, e
-    return best_e, best
+    d = dm.dist
+
+    def cost(asg):
+        total = np.zeros(asg.shape[1])
+        for w in range(cg.p):
+            total += cg.processing[w, asg[w]]
+        for a, b, lam in cg.edges:
+            total += lam * d[asg[a], asg[b]]
+        return total
+
+    e = _argmin_over_blocks(_blocks(cg, net, budget), cost)
+    return e, embedding_cost(cg, dm, e)
 
 
 def brute_force_min_delay(
@@ -59,10 +91,20 @@ def brute_force_min_delay(
     *,
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[Embedding, DelayReport]:
-    best_e = None
-    best: DelayReport | None = None
-    for e in enumerate_embeddings(cg, net, budget=budget):
-        r = embedding_delay(cg, dm, e)
-        if best is None or r.total < best.total:
-            best, best_e = r, e
-    return best_e, best
+    d = dm.dist
+    src = set(cg.sources)
+
+    def delay(asg):
+        ine = cg.in_edges()
+        done: list = [0.0] * cg.p
+        for w in cg.topological_order():
+            if w in src:
+                continue
+            arrive = np.zeros(asg.shape[1])
+            for a, lam in ine[w]:
+                np.maximum(arrive, done[a] + lam * d[asg[a], asg[w]], out=arrive)
+            done[w] = arrive + cg.processing[w, asg[w]]
+        return done[cg.sink]
+
+    e = _argmin_over_blocks(_blocks(cg, net, budget), delay)
+    return e, embedding_delay(cg, dm, e)

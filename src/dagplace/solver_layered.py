@@ -30,13 +30,14 @@ from .model import (
 from .solver_treewidth import DEFAULT_TABLE_BUDGET, _solve_bags, layered_path_decomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayeredDPState:
     """Frozen snapshot of one layered solve, sufficient for incremental edits.
 
     It holds the solved graph ``cg`` and layering ``ls``, not copies of their
     fields; ``p``, ``layer`` and ``r`` are read-only views for callers that
-    read a state's shape (the benchmark's work counts do)."""
+    read a state's shape (the benchmark's work counts do).  Equality and
+    hashing are by identity, as for ``ComputationGraph``."""
 
     cg: ComputationGraph
     ls: LayeredStructure

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import warnings
 
@@ -11,8 +12,8 @@ from dagplace.cli import (
     load_embedding,
     load_json,
 )
-from dagplace.metrics import Embedding
-from dagplace.model import build_computation
+from dagplace.metrics import Embedding, embedding_cost, embedding_delay
+from dagplace.model import build_computation, pinned_images
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -121,3 +122,24 @@ def random_embedding(cg, net, rng: np.random.Generator) -> Embedding:
         asg[s] = net.sources[i]
     asg[cg.sink] = net.sink
     return Embedding(tuple(asg))
+
+
+def reference_brute_force(cg, net, dm, objective: str):
+    """(embedding, value) of the first embedding of least cost ("mincost") or
+    delay ("mindelay"), scanning one embedding and one scalar score at a time
+    in itertools.product order of the free vertices; the oracle for
+    ``brute_force_min_cost`` and ``brute_force_min_delay``."""
+    score = embedding_cost if objective == "mincost" else embedding_delay
+    key = (lambda v: v) if objective == "mincost" else (lambda r: r.total)
+    pinned = pinned_images(cg, net)
+    free = [w for w in range(cg.p) if w not in pinned]
+    best_e = best = None
+    for images in itertools.product(range(net.n), repeat=len(free)):
+        asg = [pinned.get(w, 0) for w in range(cg.p)]
+        for w, v in zip(free, images):
+            asg[w] = v
+        e = Embedding(assignment=tuple(asg))
+        value = score(cg, dm, e)
+        if best is None or key(value) < key(best):
+            best, best_e = value, e
+    return best_e, best

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -13,10 +14,42 @@ from dagplace.harness import (
     random_layered_cg,
     random_network,
 )
-from dagplace.model import check_tree, infer_layering
+from dagplace.model import _components, build_network, check_tree, infer_layering
+
+
+def reference_random_network(n, p_r, seed, weight_model="unit", *, max_resamples=200,
+                             weight_range=(1, 5)):
+    """The list-of-pairs sampler that ``random_network`` replaced; it draws
+    the same generator stream."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(max_resamples):
+        mask = rng.random(len(pairs)) < p_r
+        chosen = [p for p, m in zip(pairs, mask) if m]
+        if weight_model == "unit":
+            weights = [1.0] * len(chosen)
+        else:
+            lo, hi = weight_range
+            weights = [float(x) for x in rng.integers(lo, hi + 1, size=len(chosen))]
+        edges = [(u, v, w) for (u, v), w in zip(chosen, weights)]
+        if len(_components(n, edges)) == 1:
+            return build_network(n, edges)
+    raise MaxResamplesExceeded("no connected sample")
 
 
 class TestRandomNetwork:
+    @pytest.mark.parametrize("weight_model", ["unit", "randint"])
+    @pytest.mark.parametrize("p_r", [0.05, 0.1, 0.3, 0.6, 1.0])
+    def test_same_networks_as_the_reference_sampler(self, p_r, weight_model, caplog):
+        caplog.set_level(logging.DEBUG, logger="dagplace.harness")
+        for seed in range(6):
+            got = random_network(60, p_r, seed, weight_model)
+            assert got.edges == reference_random_network(60, p_r, seed, weight_model).edges
+            assert all(type(x) is int for u, v, _ in got.edges for x in (u, v))
+            assert all(type(w) is float for _, _, w in got.edges)
+        if p_r == 0.05:  # resample-heavy: most draws are disconnected
+            assert "resamples" in caplog.text
+
     def test_complete_graph_at_p_one(self):
         net = random_network(7, 1.0, 0)
         assert len(net.edges) == 7 * 6 // 2

@@ -568,3 +568,17 @@ def test_solvers_refuse_roles_that_do_not_match(solver, roles):
     net = build_network(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], *roles)
     with pytest.raises(ValidationError, match="network roles do not match the computation graph"):
         SOLVERS[solver](chain_cg(4), net, apsp(net))
+
+
+def test_array_holding_types_compare_and_hash_by_identity():
+    # the generated __eq__ compared ndarrays: == raised ValueError and hash() TypeError
+    def solved():
+        cg, net = load_fixture("prodsum")
+        dm = apsp(net)
+        return cg, dm, min_cost_layered(cg, infer_layering(cg), net, dm)[2]
+
+    for a, b in zip(solved(), solved()):
+        assert (a == b) is False
+        assert (a == a) is True
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2

@@ -1,12 +1,19 @@
+import itertools
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_fixture, place_roles, random_tree_cg
-from dagplace.errors import BudgetExceeded
+from conftest import load_fixture, place_roles, random_tree_cg, reference_brute_force
+from dagplace.errors import BudgetExceeded, CyclicGraph
 from dagplace.harness import random_connected_network
 from dagplace.metrics import embedding_delay
 from dagplace.model import apsp, build_computation, build_network
 from dagplace.oracle import (
+    BLOCK,
     brute_force_min_cost,
     brute_force_min_delay,
     enumerate_embeddings,
@@ -115,3 +122,107 @@ class TestMinima:
             _, d = brute_force_min_delay(cg, pnet, dm)
             assert d.total <= c
             checked += 1
+
+
+# zero, fractional and inexact (1/3, 0.1) sizes, weights and processing
+_SIZES = st.sampled_from((0.0, 0.1, 1 / 3, 0.5, 1.0, 2.0))
+
+
+@st.composite
+def oracle_instances(draw):
+    """A DAG of 3-6 vertices on a network of at most 4 nodes: sources first,
+    the sink last, each other vertex fed by any earlier vertices (so fan-out,
+    and possibly no inputs at all), zero-size edges and fractional
+    processing on every non-source row, the sink's included."""
+    k = draw(st.integers(1, 2))
+    p = draw(st.integers(k + 2, 6))
+    n = draw(st.integers(k + 1, 4))
+    edges = []
+    for w in range(k, p):
+        tails = draw(st.sets(st.integers(0, w - 1), min_size=w == p - 1))
+        edges += [(u, w, draw(_SIZES)) for u in sorted(tails)]
+    proc = np.zeros((p, n))
+    proc[k:] = np.reshape(draw(st.lists(_SIZES, min_size=(p - k) * n,
+                                        max_size=(p - k) * n)), (p - k, n))
+    links = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    links |= draw(st.sets(st.sampled_from([(u, v) for v in range(n) for u in range(v)])))
+    roles = draw(st.permutations(range(n)))
+    net = build_network(n, [(u, v, draw(_SIZES)) for u, v in sorted(links)],
+                        roles[:k], roles[k])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cg = build_computation(p, edges, range(k), p - 1, proc)
+    return cg, net
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(oracle_instances())
+def test_property_block_scores_equal_the_scalar_scan(instance):
+    cg, net = instance
+    dm = apsp(net)
+    emb, cost = brute_force_min_cost(cg, net, dm)
+    ref_emb, ref_cost = reference_brute_force(cg, net, dm, "mincost")
+    assert emb == ref_emb
+    assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
+    emb, rep = brute_force_min_delay(cg, net, dm)
+    ref_emb, ref_rep = reference_brute_force(cg, net, dm, "mindelay")
+    assert emb == ref_emb
+    assert np.array(rep.per_vertex).tobytes() == np.array(ref_rep.per_vertex).tobytes()
+    assert np.float64(rep.total).tobytes() == np.float64(ref_rep.total).tobytes()
+
+
+class TestBlocks:
+    def test_min_cost_on_a_cyclic_schema(self):
+        cg, net = load_fixture("loop")
+        assert not cg.is_dag
+        dm = apsp(net)
+        assert brute_force_min_cost(cg, net, dm) == reference_brute_force(cg, net, dm, "mincost")
+        with pytest.raises(CyclicGraph):
+            brute_force_min_delay(cg, net, dm)
+
+    @staticmethod
+    def star(proc_row):
+        """Seven free vertices between one source and the sink of a 5-node
+        path: 5**7 = 78,125 embeddings, more than four blocks."""
+        net = build_network(5, [(v, v + 1, 1.0) for v in range(4)], sources=(0,), sink=4)
+        edges = [(0, w, 0.0) for w in range(1, 8)] + [(w, 8, 0.0) for w in range(1, 8)]
+        proc = np.zeros((9, 5))
+        proc[1:8] = proc_row
+        return build_computation(9, edges, (0,), 8, proc), net
+
+    def test_first_embedding_wins_a_tie_across_blocks(self):
+        cg, net = self.star(0.0)
+        assert net.n ** 7 > 4 * BLOCK
+        dm = apsp(net)
+        first = (0,) * 8 + (4,)
+        emb, cost = brute_force_min_cost(cg, net, dm)
+        assert (emb.assignment, cost) == (first, 0.0)
+        emb, rep = brute_force_min_delay(cg, net, dm)
+        assert (emb.assignment, rep.total) == (first, 0.0)
+
+    def test_unique_minimum_in_the_last_block(self):
+        cg, net = self.star([1.0, 1.0, 1.0, 1.0, 0.0])
+        dm = apsp(net)
+        last = (0,) + (4,) * 8
+        emb, cost = brute_force_min_cost(cg, net, dm)
+        assert (emb.assignment, cost) == (last, 0.0)
+        emb, rep = brute_force_min_delay(cg, net, dm)
+        assert (emb.assignment, rep.total) == (last, 0.0)
+
+    def test_enumeration_order_across_blocks(self):
+        cg, net = self.star(0.0)
+        assert [e.assignment for e in enumerate_embeddings(cg, net)] == [
+            (0, *images, 4) for images in itertools.product(range(5), repeat=7)
+        ]
+
+    def test_budget_boundary(self):
+        cg, net = load_fixture("prodsum")
+        dm = apsp(net)
+        assert brute_force_min_cost(cg, net, dm, budget=512)[1] == 34
+        assert brute_force_min_delay(cg, net, dm, budget=512)[1].total == 14
+        message = "8^3 = 512 embeddings exceeds the budget of 511"
+        for solve in (brute_force_min_cost, brute_force_min_delay):
+            with pytest.raises(BudgetExceeded, match=re.escape(message)):
+                solve(cg, net, dm, budget=511)
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            next(enumerate_embeddings(cg, net, budget=511))
