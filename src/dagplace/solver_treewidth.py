@@ -11,6 +11,7 @@ same engine on ``layered_path_decomposition``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,11 +159,18 @@ def min_fill_decomposition(cg: ComputationGraph) -> TreeDecomposition:
                     missing += 1
         return missing
 
+    # a heap of (fill, vertex) entries; an entry whose fill is no longer the
+    # vertex's score, or whose vertex is gone, is stale and skipped
+    score = {w: fill(w) for w in range(cg.p)}
+    heap = [(f, w) for w, f in score.items()]
+    heapq.heapify(heap)
     elim_bag: list[tuple[int, ...]] = []
     elim_vertex: list[int] = []
-    alive = set(range(cg.p))
-    while alive:
-        w = min(alive, key=lambda v: (fill(v), v))
+    while heap:
+        f, w = heapq.heappop(heap)
+        if score.get(w) != f:
+            continue
+        del score[w]
         bag = tuple(sorted({w} | nbrs[w]))
         elim_vertex.append(w)
         elim_bag.append(bag)
@@ -171,10 +179,16 @@ def min_fill_decomposition(cg: ComputationGraph) -> TreeDecomposition:
                 if u != v:
                     nbrs[u].add(v)
         for u in nbrs[w]:
-            u_set = nbrs[u]
-            u_set.discard(w)
+            nbrs[u].discard(w)
+        # only w's neighbours and theirs can have gained an edge among their
+        # neighbours, or lost w from them
+        touched = set(nbrs[w]).union(*(nbrs[u] for u in nbrs[w]))
         del nbrs[w]
-        alive.discard(w)
+        for u in touched:
+            f = fill(u)
+            if f != score[u]:
+                score[u] = f
+                heapq.heappush(heap, (f, u))
 
     index = {w: i for i, w in enumerate(elim_vertex)}
     tree_edges = []
@@ -185,32 +199,57 @@ def min_fill_decomposition(cg: ComputationGraph) -> TreeDecomposition:
     return make_decomposition(cg, elim_bag, tree_edges)
 
 
-def _message(table: np.ndarray, free: list[int], parent_bag) -> tuple[np.ndarray, np.ndarray]:
+def _message(table: np.ndarray, free: list[int], parent_bag, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Min and argmin of a bag table over its axes outside ``parent_bag``.
 
-    Both arrays have one axis per free separator vertex, in increasing id
-    order; the argmin is a C-order flat index over the remaining axes, so
-    ties go to the lexicographically smallest completion.
+    ``table`` has one axis of length n per vertex of ``free``, in increasing
+    id order.  Both arrays have one axis per free separator vertex, in
+    increasing id order; the argmin is a C-order flat index over the
+    remaining axes, so ties go to the lexicographically smallest completion.
+    Eliminated axes that sit next to each other are reduced where they lie,
+    with no copy; others are first moved behind the separator axes.
     """
+    f = len(free)
     sep = [i for i, w in enumerate(free) if w in parent_bag]
-    t = np.moveaxis(table, sep, range(len(sep)))
-    t = t.reshape(t.shape[: len(sep)] + (-1,))
-    return t.min(axis=-1), t.argmin(axis=-1)
+    rest = [i for i, w in enumerate(free) if w not in parent_bag]
+    t = table
+    if rest and rest[-1] - rest[0] + 1 != len(rest):
+        t = np.moveaxis(t, sep, range(len(sep)))
+        rest = range(len(sep), f)
+    t = t.reshape(n ** (rest[0] if rest else 0), n ** len(rest), -1)
+    shape = (n,) * len(sep)
+    return t.min(axis=1).reshape(shape), t.argmin(axis=1).reshape(shape)
+
+
+def _spread(m: np.ndarray, axes: list[int], f: int) -> np.ndarray:
+    """View of ``m`` with its axes at positions ``axes`` (increasing) of f
+    axes; the other axes have length 1."""
+    shape = [1] * f
+    for i in axes:
+        shape[i] = m.shape[0]
+    return m.reshape(shape)
 
 
 def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
     """Bag-table dynamic program over ``td``: (embedding, cost, messages).
 
-    Bag b's table has one axis of length n per free (unpinned) vertex of the
-    bag, in increasing id order.  It sums the processing of the bag's home
-    vertices, then ``lam * d`` of its home edges in ``cg.edges`` order, then
-    its children's messages; ``messages[b]`` is the (min, argmin) pair that
-    bag b sends to its parent, and None at the root.  ``reuse`` supplies the
-    messages of bags 0..len(reuse)-1, which are not rebuilt; each must come
-    with its whole subtree.  ``budget`` bounds the cells of the largest table.
+    Bag b's table has one axis per free (unpinned) vertex of the bag, in
+    increasing id order.  It starts as +0.0 with every axis of length 1 and
+    adds, by broadcasting, the processing of the bag's home vertices, then
+    ``lam * d`` of its home edges in ``cg.edges`` order, then its children's
+    messages.  An axis grows to length n with the first term that spans it,
+    and once every axis has, the remaining terms are added in place; an axis
+    that no term spans is broadcast to length n at the end.  So each cell
+    receives the same additions in the same order as in a table filled at
+    full width from the start.  ``messages[b]`` is the (min, argmin) pair
+    that bag b sends to its parent, and None at the root.  ``reuse`` supplies
+    the messages of bags 0..len(reuse)-1, which are not rebuilt; each must
+    come with its whole subtree.  ``budget`` bounds the cells of the largest
+    full-width table.
     """
     n = dm.n
     d = dm.dist
+    proc = cg.processing
     free = [[w for w in bag if w not in pinned] for bag in td.bags]
     cells = max(n ** len(f) for f in free)
     if cells > budget:
@@ -241,27 +280,43 @@ def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
         if b < len(reuse):
             continue
         fb = free[b]
-        # each vertex's image: its pinned node, or a range along its own axis
-        image = {w: pinned[w] for w in td.bags[b] if w in pinned}
-        for i, w in enumerate(fb):
-            image[w] = np.arange(n).reshape([n if j == i else 1 for j in range(len(fb))])
-        table = np.zeros((n,) * len(fb))
+        f = len(fb)
+        axis = {w: i for i, w in enumerate(fb)}
+        # each term as a view of its processing row or distance matrix, with
+        # a free vertex's nodes along its axis and a pinned vertex at its node
+        terms = []
         for w in home_vertices[b]:
-            table += cg.processing[w, image[w]]
+            terms.append(_spread(proc[w], [axis[w]], f) if w in axis else proc[w, pinned[w]])
         for a, c, lam in home_edges[b]:
-            table += lam * d[image[a], image[c]]
+            if a in axis and c in axis:
+                i, j = axis[a], axis[c]
+                terms.append(lam * _spread(d if i < j else d.T, sorted((i, j)), f))
+            elif a in axis:
+                terms.append(lam * _spread(d[:, pinned[c]], [axis[a]], f))
+            elif c in axis:
+                terms.append(lam * _spread(d[pinned[a]], [axis[c]], f))
+            else:
+                terms.append(lam * d[pinned[a], pinned[c]])
         for ch in children[b]:
             if messages[ch] is None:
-                messages[ch] = _message(tables.pop(ch), free[ch], td.bags[b])
-            table += messages[ch][0].reshape([n if w in td.bags[ch] else 1 for w in fb])
-        tables[b] = table
+                messages[ch] = _message(tables.pop(ch), free[ch], td.bags[b], n)
+            terms.append(_spread(messages[ch][0], [axis[w] for w in free[ch] if w in axis], f))
+        full = (n,) * f
+        table = np.zeros((1,) * f)
+        for term in terms:
+            if table.shape == full:
+                table += term
+            else:
+                table = np.add(table, term, order="C")
+        # an axis no term spans still has length 1: broadcast it to n
+        tables[b] = table if table.shape == full else np.broadcast_to(table, full)
 
     root = tables[td.root]
-    flat = int(root.argmin())
+    top = np.unravel_index(int(root.argmin()), root.shape)
     assignment = [0] * cg.p
     for w, v in pinned.items():
         assignment[w] = v
-    for w, v in zip(free[td.root], np.unravel_index(flat, root.shape)):
+    for w, v in zip(free[td.root], top):
         assignment[w] = int(v)
     stack2 = [td.root]
     while stack2:
@@ -273,7 +328,7 @@ def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
             for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
                 assignment[w] = int(v)
             stack2.append(ch)
-    return Embedding(tuple(assignment)), float(root.reshape(-1)[flat]), tuple(messages)
+    return Embedding(tuple(assignment)), float(root[top]), tuple(messages)
 
 
 def min_cost_treewidth(

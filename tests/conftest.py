@@ -12,6 +12,7 @@ from dagplace.cli import (
     load_embedding,
     load_json,
 )
+from dagplace.errors import BudgetExceeded
 from dagplace.metrics import Embedding, embedding_cost, embedding_delay
 from dagplace.model import build_computation, pinned_images
 
@@ -143,3 +144,126 @@ def reference_brute_force(cg, net, dm, objective: str):
         if best is None or key(value) < key(best):
             best, best_e = value, e
     return best_e, best
+
+
+def reference_min_fill(cg):
+    """(eliminated-vertex bags, tree edges) of min-fill elimination, re-scoring
+    every remaining vertex at each step; the reference for
+    ``min_fill_decomposition``'s bags and tree edges."""
+    nbrs: dict[int, set[int]] = {w: set() for w in range(cg.p)}
+    for a, b, _ in cg.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+
+    def fill(w) -> int:
+        ns = list(nbrs[w])
+        missing = 0
+        for i in range(len(ns)):
+            for j in range(i + 1, len(ns)):
+                if ns[j] not in nbrs[ns[i]]:
+                    missing += 1
+        return missing
+
+    elim_bag: list[tuple[int, ...]] = []
+    elim_vertex: list[int] = []
+    alive = set(range(cg.p))
+    while alive:
+        w = min(alive, key=lambda v: (fill(v), v))
+        bag = tuple(sorted({w} | nbrs[w]))
+        elim_vertex.append(w)
+        elim_bag.append(bag)
+        for u in nbrs[w]:
+            for v in nbrs[w]:
+                if u != v:
+                    nbrs[u].add(v)
+        for u in nbrs[w]:
+            u_set = nbrs[u]
+            u_set.discard(w)
+        del nbrs[w]
+        alive.discard(w)
+
+    index = {w: i for i, w in enumerate(elim_vertex)}
+    tree_edges = []
+    for i, bag in enumerate(elim_bag[:-1]):
+        later = [index[v] for v in bag if v != elim_vertex[i]]
+        parent = min(later) if later else i + 1
+        tree_edges.append((i, parent))
+    return tuple(elim_bag), tuple(tree_edges)
+
+
+def _reference_message(table, free, parent_bag):
+    sep = [i for i, w in enumerate(free) if w in parent_bag]
+    t = np.moveaxis(table, sep, range(len(sep)))
+    t = t.reshape(t.shape[: len(sep)] + (-1,))
+    return t.min(axis=-1), t.argmin(axis=-1)
+
+
+def reference_solve_bags(cg, td, pinned, dm, budget, reuse=()):
+    """(embedding, cost, messages) of the bag-table DP with every table filled
+    at full width from the start: processing of the home vertices, then
+    ``lam * d`` of the home edges in ``cg.edges`` order, then the children's
+    messages; the reference for ``solver_treewidth._solve_bags``."""
+    n = dm.n
+    d = dm.dist
+    free = [[w for w in bag if w not in pinned] for bag in td.bags]
+    cells = max(n ** len(f) for f in free)
+    if cells > budget:
+        raise BudgetExceeded(f"bag table of {cells} cells exceeds the budget of {budget}")
+
+    home_vertices: list[list[int]] = [[] for _ in td.bags]
+    for w, b in enumerate(td.vertex_home):
+        home_vertices[b].append(w)
+    home_edges: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
+    for edge, hb in zip(cg.edges, td.edge_home):
+        home_edges[hb].append(edge)
+
+    children = td.children()
+    post = []
+    stack = [(td.root, False)]
+    while stack:
+        b, expanded = stack.pop()
+        if expanded:
+            post.append(b)
+        else:
+            stack.append((b, True))
+            for c in children[b]:
+                stack.append((c, False))
+
+    messages = list(reuse) + [None] * (len(td.bags) - len(reuse))
+    tables: dict[int, np.ndarray] = {}
+    for b in post:
+        if b < len(reuse):
+            continue
+        fb = free[b]
+        image = {w: pinned[w] for w in td.bags[b] if w in pinned}
+        for i, w in enumerate(fb):
+            image[w] = np.arange(n).reshape([n if j == i else 1 for j in range(len(fb))])
+        table = np.zeros((n,) * len(fb))
+        for w in home_vertices[b]:
+            table += cg.processing[w, image[w]]
+        for a, c, lam in home_edges[b]:
+            table += lam * d[image[a], image[c]]
+        for ch in children[b]:
+            if messages[ch] is None:
+                messages[ch] = _reference_message(tables.pop(ch), free[ch], td.bags[b])
+            table += messages[ch][0].reshape([n if w in td.bags[ch] else 1 for w in fb])
+        tables[b] = table
+
+    root = tables[td.root]
+    flat = int(root.argmin())
+    assignment = [0] * cg.p
+    for w, v in pinned.items():
+        assignment[w] = v
+    for w, v in zip(free[td.root], np.unravel_index(flat, root.shape)):
+        assignment[w] = int(v)
+    stack2 = [td.root]
+    while stack2:
+        b = stack2.pop()
+        for ch in children[b]:
+            sep = [w for w in free[ch] if w in td.bags[b]]
+            rest = [w for w in free[ch] if w not in td.bags[b]]
+            pick = int(messages[ch][1][tuple(assignment[w] for w in sep)])
+            for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
+                assignment[w] = int(v)
+            stack2.append(ch)
+    return Embedding(tuple(assignment)), float(root.reshape(-1)[flat]), tuple(messages)

@@ -1,11 +1,20 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_decomposition_fixture, load_fixture, place_roles
+from conftest import (
+    load_decomposition_fixture,
+    load_fixture,
+    place_roles,
+    random_tree_cg,
+    reference_brute_force,
+    reference_min_fill,
+    reference_solve_bags,
+)
 from dagplace.errors import BudgetExceeded, InvalidDecomposition
 from dagplace.harness import random_connected_network, random_layered_cg
 from dagplace.metrics import embedding_cost
@@ -15,10 +24,13 @@ from dagplace.model import (
     build_computation,
     build_network,
     infer_layering,
+    pinned_images,
 )
 from dagplace.oracle import brute_force_min_cost
-from dagplace.solver_layered import min_cost_layered
+from dagplace.solver_layered import apply_perturbations, min_cost_layered
 from dagplace.solver_treewidth import (
+    DEFAULT_TABLE_BUDGET,
+    _solve_bags,
     layered_path_decomposition,
     make_decomposition,
     min_cost_treewidth,
@@ -66,6 +78,18 @@ class TestMinFill:
 
     def test_tree_width_one(self):
         assert min_fill_decomposition(load_fixture("fanin")[0]).width == 1
+
+    def test_equals_the_full_rescan(self):
+        rng = np.random.default_rng(34)
+        graphs = [load_fixture("loop")[0]]
+        for _ in range(150):
+            r, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            graphs.append(random_layered_cg(r, k, 2, rng)[0])
+        for p in (5, 20, 127):
+            graphs.append(random_tree_cg(rng, p, 2))
+        for cg in graphs:
+            td = min_fill_decomposition(cg)
+            assert (td.bags, td.tree_edges) == reference_min_fill(cg)
 
     def test_triangle_width_two_and_no_width_one_exists(self):
         tri = build_computation(
@@ -211,14 +235,17 @@ class TestMinCostTreewidth:
 
 # multiples of 0.5, so every solver's sum is exact whatever its order
 _HALVES = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+# sums of these round, so a change in the order of a sum shows in its bytes
+_FRACTIONS = st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.5])
 
 
 @st.composite
-def layered_instances(draw):
+def layered_instances(draw, values=_HALVES):
     """(graph, layering, network): up to three layers of one or two vertices
     and the sink, edges from the previous layer or an earlier vertex of the
     same layer, and a network of k+1..4 nodes whose roles match the graph.
-    Edge sizes, processing and link weights may all be zero."""
+    Edge sizes, processing and link weights are drawn from ``values`` and
+    may all be zero."""
     widths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)) + [1]
     layer = [l + 1 for l, width in enumerate(widths) for _ in range(width)]
     p, k = len(layer), widths[0]
@@ -227,18 +254,24 @@ def layered_instances(draw):
         tails = [u for u in range(w) if layer[u] == layer[w] - 1]
         tails += [u for u in range(k, w) if layer[u] == layer[w]]
         for u in draw(st.lists(st.sampled_from(tails), min_size=1, unique=True)):
-            edges.append((u, w, draw(_HALVES)))
+            edges.append((u, w, draw(values)))
     n = draw(st.integers(k + 1, 4))
     proc = np.zeros((p, n))
-    proc[k:] = np.reshape(draw(st.lists(_HALVES, min_size=(p - k) * n,
+    proc[k:] = np.reshape(draw(st.lists(values, min_size=(p - k) * n,
                                         max_size=(p - k) * n)), (p - k, n))
+    net = _network(draw, n, k, values)
+    cg = build_computation(p, edges, range(k), p - 1, proc)
+    return cg, LayeredStructure(tuple(layer)), net
+
+
+def _network(draw, n, k, values):
+    """A connected network of n nodes with k sources and a sink: a spanning
+    tree plus any further links, weighted from ``values``."""
     links = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
     links |= draw(st.sets(st.sampled_from([(u, v) for v in range(n) for u in range(v)])))
     roles = draw(st.permutations(range(n)))
-    net = build_network(n, [(u, v, draw(_HALVES)) for u, v in sorted(links)],
-                        roles[:k], roles[k])
-    cg = build_computation(p, edges, range(k), p - 1, proc)
-    return cg, LayeredStructure(tuple(layer)), net
+    return build_network(n, [(u, v, draw(values)) for u, v in sorted(links)],
+                         roles[:k], roles[k])
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -313,6 +346,28 @@ def _random_decompositions(rng, count):
             count -= 1
 
 
+def test_engine_equals_the_reference_on_shuffled_decompositions():
+    # the vertices are relabelled at random, so a bag's separator and the
+    # vertices it eliminates interleave in id order
+    rng = np.random.default_rng(35)
+    for cg, td in _random_decompositions(rng, 40):
+        n = int(rng.integers(len(cg.sources) + 1, 5))
+        label = [int(x) for x in rng.permutation(cg.p)]
+        proc = rng.choice([0.0, 0.1, 0.3, 2.5], size=(cg.p, n))
+        proc[[label[s] for s in cg.sources]] = 0.0
+        cg = build_computation(cg.p, [(label[a], label[b], lam) for a, b, lam in cg.edges],
+                               [label[s] for s in cg.sources], label[cg.sink], proc)
+        td = make_decomposition(cg, [[label[w] for w in bag] for bag in td.bags],
+                                td.tree_edges)
+        links = [(u, v, float(rng.choice([0.0, 0.1, 0.7])))
+                 for v in range(1, n) for u in range(v) if u == v - 1 or rng.random() < 0.5]
+        net = place_roles(build_network(n, links), len(cg.sources), rng)
+        dm = apsp(net)
+        pinned = pinned_images(cg, net)
+        _assert_same_solve(_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET),
+                           reference_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET))
+
+
 class TestDecompositionValidation:
     def test_homes_match_nearest_bag(self):
         for cg, td in _random_decompositions(np.random.default_rng(33), 60):
@@ -353,3 +408,104 @@ class TestDecompositionValidation:
                     assert w in td.bags[b]
                 for (a, b2, _), hb in zip(cg.edges, td.edge_home):
                     assert a in td.bags[hb] and b2 in td.bags[hb]
+
+
+def _assert_same_solve(got, ref):
+    """Equal embeddings and cost reprs, and messages equal in shape, dtype
+    and bytes."""
+    (emb, cost, messages), (ref_emb, ref_cost, ref_messages) = got, ref
+    assert emb.assignment == ref_emb.assignment
+    assert repr(cost) == repr(ref_cost)
+    assert len(messages) == len(ref_messages)
+    for message, ref_message in zip(messages, ref_messages):
+        assert (message is None) == (ref_message is None)
+        for a, b in zip(message or (), ref_message or ()):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def _intra_layer_edits(cg, ls):
+    """Each absent edge (a, b), a < b, inside one middle layer, as an edit."""
+    present = {(a, b) for a, b, _ in cg.edges}
+    return [((a, b), ls.layer[a]) for b in range(cg.p) for a in range(b)
+            if ls.layer[a] == ls.layer[b] and 1 < ls.layer[a] < ls.r and (a, b) not in present]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(layered_instances(_FRACTIONS), st.data())
+def test_property_engine_equals_the_full_width_reference(instance, data):
+    cg, ls, net = instance
+    dm = apsp(net)
+    pinned = pinned_images(cg, net)
+    for td in (layered_path_decomposition(ls, cg), min_fill_decomposition(cg)):
+        _assert_same_solve(_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET),
+                           reference_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET))
+    # a re-plan reuses the messages below the edit, and must still give a
+    # fresh full-width solve's bytes
+    candidates = _intra_layer_edits(cg, ls)
+    if not candidates:
+        return
+    (a, b), lay = data.draw(st.sampled_from(candidates))
+    edge = (a, b, data.draw(_FRACTIONS))
+    cg2 = build_computation(cg.p, cg.edges + (edge,), cg.sources, cg.sink, cg.processing)
+    _, _, state = min_cost_layered(cg, ls, net, dm)
+    emb, cost, state2 = apply_perturbations(state, cg2, [(edge, lay)], dm)
+    ref = reference_solve_bags(cg2, layered_path_decomposition(ls, cg2), pinned, dm,
+                               DEFAULT_TABLE_BUDGET)
+    _assert_same_solve((emb, cost, state2.h + (None,)), ref)
+
+
+def test_all_ties_go_to_the_smallest_assignment():
+    # bag (1, 2, 3) eliminates 2 and sends the root (1, 3, 4) a message over
+    # (1, 3), which are not the bag's leading axes
+    net = build_network(3, [(0, 1, 0.0), (1, 2, 0.0)], sources=(2,), sink=1)
+    cg = build_computation(5, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0),
+                               (1, 4, 1.0)], (0,), 4, np.zeros((5, 3)))
+    td = min_fill_decomposition(cg)
+    assert (td.bags[1], td.bags[td.root]) == ((1, 2, 3), (1, 3, 4))
+    assert (1, td.root) in td.tree_edges
+    dm = apsp(net)
+    pinned = pinned_images(cg, net)
+    got = _solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET)
+    _assert_same_solve(got, reference_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET))
+    assert got[0].assignment == (2, 0, 0, 0, 1)
+    assert got[1] == 0.0
+    assert min_cost_treewidth(cg, td, net, dm) == (got[0], 0.0)
+
+
+@st.composite
+def cyclic_instances(draw):
+    """(graph, network): a schema of at most six vertices with a directed
+    cycle through two or more of its middle vertices, any further edges
+    between middle vertices in either direction, and edges from the sources
+    and into the sink; a network of k+1..4 nodes.  Edge sizes, processing
+    and link weights are multiples of 0.5 and may be zero."""
+    k = draw(st.integers(1, 2))
+    p = draw(st.integers(k + 3, 6))
+    n = draw(st.integers(k + 1, 4))
+    middle = list(range(k, p - 1))
+    cycle = draw(st.permutations(middle))[: draw(st.integers(2, len(middle)))]
+    pairs = {(cycle[i - 1], cycle[i]) for i in range(len(cycle))}
+    candidates = [(a, b) for a in range(p - 1) for b in range(k, p) if a != b]
+    pairs |= draw(st.sets(st.sampled_from(candidates)))
+    edges = [(a, b, draw(_HALVES)) for a, b in sorted(pairs)]
+    proc = np.zeros((p, n))
+    proc[k:] = np.reshape(draw(st.lists(_HALVES, min_size=(p - k) * n,
+                                        max_size=(p - k) * n)), (p - k, n))
+    net = _network(draw, n, k, _HALVES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cg = build_computation(p, edges, range(k), p - 1, proc, require_dag=False)
+    return cg, net
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cyclic_instances())
+def test_property_min_fill_solves_cyclic_schemas(instance):
+    cg, net = instance
+    assert not cg.is_dag
+    dm = apsp(net)
+    td = min_fill_decomposition(cg)
+    assert (td.bags, td.tree_edges) == reference_min_fill(cg)
+    emb, cost = min_cost_treewidth(cg, td, net, dm)
+    assert cost == reference_brute_force(cg, net, dm, "mincost")[1]
+    assert embedding_cost(cg, dm, emb) == cost
