@@ -529,8 +529,8 @@ def _cmd_perturb(args) -> int:
     ndoc, cdoc, ls = load_state(args.state)
     edits, cdoc2 = load_edits(load_json(args.edits), cdoc)
     dm = apsp(ndoc.net)
-    # rebuild the messages apply_perturbations reuses; --budget judges the
-    # re-plan, as a state file's solve already passed a budget of its own
+    # re-solve for the messages of the bags the re-plan skips; --budget judges
+    # the re-plan, as a state file's solve already passed a budget of its own
     budget = max(args.budget, DEFAULT_TABLE_BUDGET)
     _, _, state = min_cost_layered(cdoc.cg, ls, ndoc.net, dm, budget=budget)
     emb, cost, new_state = apply_perturbations(state, cdoc2.cg, edits, dm,

@@ -6,9 +6,9 @@ layers i and i+1 and sends the next bag, for every assignment of layer i+1,
 the cheapest placement of layers 1..i.  Pinned vertices (sources, sink) take
 no table axis, so a full sweep costs O(r n^{2k}).
 
-The per-bag messages are returned in a ``LayeredDPState`` so that later graph
-edits can be re-planned by recomputing only from the earliest affected layer;
-the result is identical to a fresh solve on the edited graph.
+The per-bag messages are returned in a ``LayeredDPState``, keyed by what each
+bag reads, so that a re-plan after graph edits is a fresh solve that rebuilds
+only the bags whose inputs changed; its result is a fresh solve's.
 """
 
 from __future__ import annotations
@@ -35,19 +35,23 @@ class LayeredDPState:
     """Frozen snapshot of one layered solve, sufficient for incremental edits.
 
     It holds the solved graph ``cg`` and layering ``ls``, not copies of their
-    fields; ``p``, ``layer`` and ``r`` are read-only views for callers that
-    read a state's shape (the benchmark's work counts do).  Equality and
+    fields; ``n``, ``p``, ``layer`` and ``r`` are read-only views for callers
+    that read a state's shape (the benchmark's work counts do).  Equality and
     hashing are by identity, as for ``ComputationGraph``."""
 
     cg: ComputationGraph
     ls: LayeredStructure
-    n: int
+    dm: DistanceMatrix
     pinned: tuple[tuple[int, int], ...]  # (computation vertex, network node)
-    # h[i]: (min, argmin) message of bag i (layers i+1, i+2) to bag i+1; one
-    # axis per free vertex of layer i+2, argmin a flat index over layer i+1
-    h: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # the (min, argmin) message of every bag but the root, keyed by what the
+    # bag reads (see ``_solve_bags``); valid only with ``dm``
+    messages: dict[tuple, tuple[np.ndarray, np.ndarray]]
     cost: float
     assignment: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return self.dm.n
 
     @property
     def p(self) -> int:
@@ -62,20 +66,12 @@ class LayeredDPState:
         return self.ls.r
 
 
-def _solve(cg, ls, pinned, n, dm, budget, reuse=()):
+def _solve(cg, ls, pinned, dm, budget, known):
     """Run the bag engine on the path decomposition of ``ls``; keep its messages."""
     td = layered_path_decomposition(ls, cg)
-    e, cost, messages = _solve_bags(cg, td, pinned, dm, budget, reuse)
-    state = LayeredDPState(
-        cg=cg,
-        ls=ls,
-        n=n,
-        pinned=tuple(sorted(pinned.items())),
-        h=messages[:-1],  # the root is the last bag and sends nothing
-        cost=cost,
-        assignment=e.assignment,
-    )
-    return e, cost, state
+    e, cost, messages = _solve_bags(cg, td, pinned, dm, budget, known)
+    return e, cost, LayeredDPState(cg=cg, ls=ls, dm=dm, pinned=tuple(sorted(pinned.items())),
+                                   messages=messages, cost=cost, assignment=e.assignment)
 
 
 def min_cost_layered(
@@ -92,7 +88,7 @@ def min_cost_layered(
     assignment tuple.
     """
     validate_layering(cg, ls)
-    return _solve(cg, ls, pinned_images(cg, net), net.n, dm, budget)
+    return _solve(cg, ls, pinned_images(cg, net), dm, budget, {})
 
 
 def apply_perturbations(
@@ -110,8 +106,10 @@ def apply_perturbations(
     vertex count and the edit's ``layer`` places them.  For an edit between
     two existing vertices the layer must match the edge's tail (or head, for
     a layer-crossing edge entering it); ``cg2`` keeps the roles and processing
-    rows of the original vertices.  Bags are recomputed from the earliest
-    affected layer forward, which reproduces a fresh solve exactly.
+    rows of the original vertices.  The re-plan is a fresh solve of ``cg2``
+    that takes the state's message of every bag whose inputs are unchanged,
+    so it gives a fresh solve's result; a ``dm`` other than the state's
+    rebuilds every bag.
     """
     cg = state.cg
     old_edges = set(cg.edges)
@@ -124,7 +122,6 @@ def apply_perturbations(
         return Embedding(state.assignment), state.cost, state
 
     layer = list(state.layer) + [0] * (cg2.p - state.p)
-    start = state.r  # recompute at least nothing; minimized below
     for (a, b, lam), lay in edits:
         new_a, new_b = a >= state.p, b >= state.p
         if new_a and new_b:
@@ -136,11 +133,8 @@ def apply_perturbations(
             if layer[w] and layer[w] != lay:
                 raise NotLayered(f"conflicting layers for new vertex {w}")
             layer[w] = lay
-            start = min(start, max(1, lay - 1))
-        else:
-            if lay not in (layer[a], layer[b]):
-                raise NotLayered(f"edit layer {lay} does not touch edge ({a},{b})")
-            start = min(start, min(layer[a], layer[b]))
+        elif lay not in (layer[a], layer[b]):
+            raise NotLayered(f"edit layer {lay} does not touch edge ({a},{b})")
     if any(l == 0 for l in layer):
         raise DanglingEdit("a new vertex was added without any edit naming it")
 
@@ -149,6 +143,5 @@ def apply_perturbations(
         raise WidthExceeded(
             f"a layer of {ls2.k} vertices exceeds the original bound k={state.ls.k}")
     validate_layering(cg2, ls2)
-
-    # bags 0..start-2 hold layers 1..start only and see no edit
-    return _solve(cg2, ls2, dict(state.pinned), state.n, dm, budget, state.h[: start - 1])
+    known = state.messages if dm is state.dm else {}
+    return _solve(cg2, ls2, dict(state.pinned), dm, budget, known)

@@ -44,6 +44,7 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags) - 1
 
     def children(self) -> dict[int, list[int]]:
+        """Each bag's children in increasing index; the keys list parents first."""
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.bags))}
         for a, b in self.tree_edges:
             adj[a].append(b)
@@ -230,7 +231,7 @@ def _spread(m: np.ndarray, axes: list[int], f: int) -> np.ndarray:
     return m.reshape(shape)
 
 
-def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
+def _solve_bags(cg, td, pinned, dm, budget, known):
     """Bag-table dynamic program over ``td``: (embedding, cost, messages).
 
     Bag b's table has one axis per free (unpinned) vertex of the bag, in
@@ -241,18 +242,23 @@ def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
     and once every axis has, the remaining terms are added in place; an axis
     that no term spans is broadcast to length n at the end.  So each cell
     receives the same additions in the same order as in a table filled at
-    full width from the start.  ``messages[b]`` is the (min, argmin) pair
-    that bag b sends to its parent, and None at the root.  ``reuse`` supplies
-    the messages of bags 0..len(reuse)-1, which are not rebuilt; each must
-    come with its whole subtree.  ``budget`` bounds the cells of the largest
+    full width from the start.  ``budget`` bounds the cells of the largest
     full-width table.
+
+    Each bag is keyed, children first, by a plain tuple of all that its
+    message reads besides ``dm``: its vertices, the images of its pinned
+    vertices, its separator with its parent bag, the processing rows of its
+    home vertices, its home edges with their weights and its children's keys.
+    ``messages`` maps the key of every bag but the root to the (min, argmin)
+    pair that the bag sends its parent.  A non-root bag whose key is in
+    ``known`` takes its message from there and is not rebuilt, so ``known``
+    must come from solves with the same ``dm``.
     """
     n = dm.n
     d = dm.dist
     proc = cg.processing
     free = [[w for w in bag if w not in pinned] for bag in td.bags]
-    cells = max(n ** len(f) for f in free)
-    if cells > budget:
+    if (cells := max(n ** len(f) for f in free)) > budget:
         raise BudgetExceeded(f"bag table of {cells} cells exceeds the budget of {budget}")
 
     home_vertices: list[list[int]] = [[] for _ in td.bags]
@@ -262,22 +268,26 @@ def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
     for edge, hb in zip(cg.edges, td.edge_home):
         home_edges[hb].append(edge)
 
-    children = td.children()
-    post = []
-    stack = [(td.root, False)]
-    while stack:
-        b, expanded = stack.pop()
-        if expanded:
-            post.append(b)
-        else:
-            stack.append((b, True))
-            for c in children[b]:
-                stack.append((c, False))
+    children = td.children()  # lists each bag before the bags below it
+    parent_bag = {c: td.bags[b] for b, cs in children.items() for c in cs}
 
-    messages = list(reuse) + [None] * (len(td.bags) - len(reuse))
-    tables: dict[int, np.ndarray] = {}
-    for b in post:
-        if b < len(reuse):
+    keys: dict[int, tuple] = {}
+    messages: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    # sent[b]: bag b's message, by bag index for the tables and the backtrack
+    sent: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(td.bags)
+    for b in reversed(children):
+        up = parent_bag.get(b, ())
+        key = keys[b] = (
+            td.bags[b],
+            tuple(map(pinned.get, td.bags[b])),
+            tuple(w for w in td.bags[b] if w in up),
+            tuple((w, proc[w].tobytes()) for w in home_vertices[b]),
+            tuple(home_edges[b]),
+            tuple(map(keys.__getitem__, children[b])),
+        )
+        hit = known.get(key) if known and b != td.root else None
+        if hit is not None:
+            sent[b] = messages[key] = hit
             continue
         fb = free[b]
         f = len(fb)
@@ -298,9 +308,7 @@ def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
             else:
                 terms.append(lam * d[pinned[a], pinned[c]])
         for ch in children[b]:
-            if messages[ch] is None:
-                messages[ch] = _message(tables.pop(ch), free[ch], td.bags[b], n)
-            terms.append(_spread(messages[ch][0], [axis[w] for w in free[ch] if w in axis], f))
+            terms.append(_spread(sent[ch][0], [axis[w] for w in free[ch] if w in axis], f))
         full = (n,) * f
         table = np.zeros((1,) * f)
         for term in terms:
@@ -309,26 +317,25 @@ def _solve_bags(cg, td, pinned, dm, budget, reuse=()):
             else:
                 table = np.add(table, term, order="C")
         # an axis no term spans still has length 1: broadcast it to n
-        tables[b] = table if table.shape == full else np.broadcast_to(table, full)
+        table = table if table.shape == full else np.broadcast_to(table, full)
+        if b != td.root:
+            sent[b] = messages[key] = _message(table, fb, up, n)
 
-    root = tables[td.root]
+    root = table  # the root comes last
     top = np.unravel_index(int(root.argmin()), root.shape)
     assignment = [0] * cg.p
     for w, v in pinned.items():
         assignment[w] = v
     for w, v in zip(free[td.root], top):
         assignment[w] = int(v)
-    stack2 = [td.root]
-    while stack2:
-        b = stack2.pop()
+    for b in children:
         for ch in children[b]:
             sep = [w for w in free[ch] if w in td.bags[b]]
             rest = [w for w in free[ch] if w not in td.bags[b]]
-            pick = int(messages[ch][1][tuple(assignment[w] for w in sep)])
+            pick = int(sent[ch][1][tuple(assignment[w] for w in sep)])
             for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
                 assignment[w] = int(v)
-            stack2.append(ch)
-    return Embedding(tuple(assignment)), float(root[top]), tuple(messages)
+    return Embedding(tuple(assignment)), float(root[top]), messages
 
 
 def min_cost_treewidth(
@@ -348,5 +355,5 @@ def min_cost_treewidth(
     only unpinned vertices.
     """
     td = make_decomposition(cg, td.bags, td.tree_edges)
-    emb, cost, _ = _solve_bags(cg, td, pinned_images(cg, net), dm, budget)
+    emb, cost, _ = _solve_bags(cg, td, pinned_images(cg, net), dm, budget, {})
     return emb, cost

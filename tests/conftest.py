@@ -198,11 +198,17 @@ def _reference_message(table, free, parent_bag):
     return t.min(axis=-1), t.argmin(axis=-1)
 
 
-def reference_solve_bags(cg, td, pinned, dm, budget, reuse=()):
+def reference_solve_bags(cg, td, pinned, dm, budget):
     """(embedding, cost, messages) of the bag-table DP with every table filled
     at full width from the start: processing of the home vertices, then
     ``lam * d`` of the home edges in ``cg.edges`` order, then the children's
-    messages; the reference for ``solver_treewidth._solve_bags``."""
+    messages; the reference for ``solver_treewidth._solve_bags``.
+
+    ``messages`` maps each non-root bag's key, in post-order, to its (min,
+    argmin) message.  The key holds the bag's vertices, the images of its
+    pinned vertices, its separator with its parent bag, its home vertices
+    with their processing rows' bytes, its home edges and its children's
+    keys; two bags with one key must send byte-identical messages."""
     n = dm.n
     d = dm.dist
     free = [[w for w in bag if w not in pinned] for bag in td.bags]
@@ -229,11 +235,9 @@ def reference_solve_bags(cg, td, pinned, dm, budget, reuse=()):
             for c in children[b]:
                 stack.append((c, False))
 
-    messages = list(reuse) + [None] * (len(td.bags) - len(reuse))
+    messages = [None] * len(td.bags)
     tables: dict[int, np.ndarray] = {}
     for b in post:
-        if b < len(reuse):
-            continue
         fb = free[b]
         image = {w: pinned[w] for w in td.bags[b] if w in pinned}
         for i, w in enumerate(fb):
@@ -266,4 +270,17 @@ def reference_solve_bags(cg, td, pinned, dm, budget, reuse=()):
             for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
                 assignment[w] = int(v)
             stack2.append(ch)
-    return Embedding(tuple(assignment)), float(root.reshape(-1)[flat]), tuple(messages)
+
+    parent = {c: b for b, cs in children.items() for c in cs}
+    keys, keyed = {}, {}
+    for b in post:
+        up = td.bags[parent[b]] if b in parent else ()
+        keys[b] = (td.bags[b], tuple(pinned.get(w) for w in td.bags[b]),
+                   tuple(w for w in td.bags[b] if w in up),
+                   tuple((w, cg.processing[w].tobytes()) for w in home_vertices[b]),
+                   tuple(home_edges[b]), tuple(keys[c] for c in children[b]))
+        if b != td.root:
+            same = keyed.setdefault(keys[b], messages[b])
+            for x, y in zip(same, messages[b]):
+                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+    return Embedding(tuple(assignment)), float(root.reshape(-1)[flat]), keyed

@@ -1,5 +1,7 @@
 import dataclasses
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from dagplace.model import (
 from dagplace.oracle import brute_force_min_cost
 from dagplace.solver_layered import apply_perturbations, min_cost_layered
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import CostReplan  # noqa: E402
+
 
 def solve_prodsum():
     cg, net = load_fixture("prodsum")
@@ -26,18 +31,22 @@ def solve_prodsum():
 
 
 def assert_states_equal(a, b):
-    """Every field equal: the graph ``cg`` by its fields, its processing table
-    and the message arrays of ``h`` element by element."""
+    """Every field equal: the graph ``cg`` by its fields and its processing
+    table, the distance matrix ``dm`` by its arrays, and the keyed
+    ``messages`` by their keys, in order, and their arrays' bytes."""
     for f in dataclasses.fields(a):
-        if f.name not in ("cg", "h"):
+        if f.name not in ("cg", "dm", "messages"):
             assert getattr(a, f.name) == getattr(b, f.name), f.name
     for name in ("p", "edges", "sources", "sink"):
         assert getattr(a.cg, name) == getattr(b.cg, name), name
     assert np.array_equal(a.cg.processing, b.cg.processing)
-    assert len(a.h) == len(b.h)
-    for (min_a, arg_a), (min_b, arg_b) in zip(a.h, b.h):
-        assert np.array_equal(min_a, min_b)
-        assert np.array_equal(arg_a, arg_b)
+    assert a.dm.dist.tobytes() == b.dm.dist.tobytes()
+    assert a.dm.weight.tobytes() == b.dm.weight.tobytes()
+    assert list(a.messages) == list(b.messages)
+    for key, (min_a, arg_a) in a.messages.items():
+        min_b, arg_b = b.messages[key]
+        for x, y in ((min_a, min_b), (arg_a, arg_b)):
+            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
 
 
 def test_prodsum_min_cost():
@@ -189,6 +198,38 @@ class TestPerturbations:
         cg2 = build_computation(8, edges + [(3, 7, 1.0)], (0,), 6, proc)
         with pytest.raises(ValidationError, match="original plus the listed edits"):
             apply_perturbations(state, cg2, [((3, 7, 1.0), 4)], dm)
+
+    def test_replan_with_another_distance_matrix_equals_fresh_solve(self):
+        # the same n, other link weights: no message of the old solve holds
+        cg, net, dm, (_, _, state) = solve_prodsum()
+        reweighted = {(1, 3): 2.0, (6, 7): 3.0}  # s2-a and d-t
+        net2 = build_network(net.n, [(u, v, reweighted.get((u, v), w)) for u, v, w in net.edges],
+                             sources=net.sources, sink=net.sink)
+        dm2 = apsp(net2)
+        edge = (3, 4, 1.0)  # sum12 -> sum23, inside layer 2
+        cg2 = build_computation(cg.p, cg.edges + (edge,), cg.sources, cg.sink, cg.processing)
+        emb2, cost2, state2 = apply_perturbations(state, cg2, [(edge, 2)], dm2)
+        emb3, cost3, state3 = min_cost_layered(cg2, state.ls, net2, dm2)
+        assert cost3 == 33.0
+        assert (emb2.assignment, cost2) == (emb3.assignment, cost3)
+        assert embedding_cost(cg2, dm2, emb2) == cost2
+        assert_states_equal(state2, state3)
+        assert not any(m is o for m in state2.messages.values() for o in state.messages.values())
+
+    def test_replan_reuses_exactly_the_bags_below_the_edited_layer(self):
+        # a re-plan on layer l takes the messages of bags 0..l-2 (layers 1..l)
+        # from the solve and rebuilds the rest: the work perfbench counts
+        for shape in CostReplan.SHAPES:
+            for i in range(CostReplan.POOL):
+                inst = CostReplan.instance(shape, i)
+                dm = apsp(inst.net)
+                _, _, state = min_cost_layered(inst.cg, infer_layering(inst.cg), inst.net, dm)
+                old = list(state.messages.values())
+                for _, cg2, edits in inst.replans:
+                    [(_, lay)] = edits
+                    _, _, state2 = apply_perturbations(state, cg2, edits, dm)
+                    reused = [any(m is o for o in old) for m in state2.messages.values()]
+                    assert reused == [True] * (lay - 1) + [False] * (len(old) - lay + 1)
 
     def test_state_round_trips_through_pickle(self):
         cg, net, dm, (emb, cost, state) = solve_prodsum()

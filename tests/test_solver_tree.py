@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture, place_roles, random_tree_cg
 import dagplace.solver_tree
@@ -65,6 +67,46 @@ def test_self_check_raises_on_wrong_total(solver, monkeypatch):
     monkeypatch.setattr(dagplace.solver_tree, "embedding_delay", off_by_one)
     with pytest.raises(RuntimeError, match="6.0.*5"):
         solver(cg, net, apsp(net))
+
+
+# zero, fractional and inexact (1/3, 0.1) sizes, weights and processing
+_SIZES = st.sampled_from((0.0, 0.1, 1 / 3, 0.5, 1.0, 2.0))
+
+
+@st.composite
+def in_trees(draw):
+    """(in-tree, network): each of 3-7 vertices but the sink feeds one later
+    vertex; the vertices no edge enters are the sources, numbered first, and
+    the sink is last.  Edge sizes, link weights and the processing of every
+    non-source row, the sink's included, may be zero or fractional; the
+    network has k+1..max(k+1, 4) nodes with the roles on distinct nodes."""
+    p = draw(st.integers(3, 7))
+    heads = [draw(st.integers(w + 1, p - 1)) for w in range(p - 1)]
+    sources = [w for w in range(p) if w not in heads]
+    order = sources + [w for w in range(p) if w not in sources]
+    label = {w: i for i, w in enumerate(order)}
+    k = len(sources)
+    n = draw(st.integers(k + 1, max(k + 1, 4)))
+    edges = [(label[w], label[h], draw(_SIZES)) for w, h in enumerate(heads)]
+    proc = np.zeros((p, n))
+    proc[k:] = np.reshape(draw(st.lists(_SIZES, min_size=(p - k) * n,
+                                        max_size=(p - k) * n)), (p - k, n))
+    links = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    links |= draw(st.sets(st.sampled_from([(u, v) for v in range(n) for u in range(v)])))
+    roles = draw(st.permutations(range(n)))
+    net = build_network(n, [(u, v, draw(_SIZES)) for u, v in sorted(links)],
+                        roles[:k], roles[k])
+    return build_computation(p, edges, range(k), p - 1, proc), net
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(in_trees())
+def test_property_tree_delay_equals_the_oracle(instance):
+    cg, net = instance
+    dm = apsp(net)
+    _, rep = min_delay_tree(cg, net, dm)
+    _, best = brute_force_min_delay(cg, net, dm)
+    assert rep.total == best.total
 
 
 class TestCollapse:

@@ -364,7 +364,7 @@ def test_engine_equals_the_reference_on_shuffled_decompositions():
         net = place_roles(build_network(n, links), len(cg.sources), rng)
         dm = apsp(net)
         pinned = pinned_images(cg, net)
-        _assert_same_solve(_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET),
+        _assert_same_solve(_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET, {}),
                            reference_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET))
 
 
@@ -411,15 +411,15 @@ class TestDecompositionValidation:
 
 
 def _assert_same_solve(got, ref):
-    """Equal embeddings and cost reprs, and messages equal in shape, dtype
-    and bytes."""
+    """Equal embeddings and cost reprs, the same message keys, and each
+    key's messages equal in shape, dtype and bytes."""
     (emb, cost, messages), (ref_emb, ref_cost, ref_messages) = got, ref
     assert emb.assignment == ref_emb.assignment
     assert repr(cost) == repr(ref_cost)
-    assert len(messages) == len(ref_messages)
-    for message, ref_message in zip(messages, ref_messages):
-        assert (message is None) == (ref_message is None)
-        for a, b in zip(message or (), ref_message or ()):
+    assert messages.keys() == ref_messages.keys()
+    for key, ref_message in ref_messages.items():
+        assert len(messages[key]) == len(ref_message) == 2
+        for a, b in zip(messages[key], ref_message):
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
@@ -437,10 +437,10 @@ def test_property_engine_equals_the_full_width_reference(instance, data):
     dm = apsp(net)
     pinned = pinned_images(cg, net)
     for td in (layered_path_decomposition(ls, cg), min_fill_decomposition(cg)):
-        _assert_same_solve(_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET),
+        _assert_same_solve(_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET, {}),
                            reference_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET))
-    # a re-plan reuses the messages below the edit, and must still give a
-    # fresh full-width solve's bytes
+    # a re-plan reuses the messages of the bags the edit leaves unchanged, and
+    # must still give a fresh full-width solve's keys and bytes
     candidates = _intra_layer_edits(cg, ls)
     if not candidates:
         return
@@ -451,7 +451,7 @@ def test_property_engine_equals_the_full_width_reference(instance, data):
     emb, cost, state2 = apply_perturbations(state, cg2, [(edge, lay)], dm)
     ref = reference_solve_bags(cg2, layered_path_decomposition(ls, cg2), pinned, dm,
                                DEFAULT_TABLE_BUDGET)
-    _assert_same_solve((emb, cost, state2.h + (None,)), ref)
+    _assert_same_solve((emb, cost, state2.messages), ref)
 
 
 def test_all_ties_go_to_the_smallest_assignment():
@@ -465,7 +465,7 @@ def test_all_ties_go_to_the_smallest_assignment():
     assert (1, td.root) in td.tree_edges
     dm = apsp(net)
     pinned = pinned_images(cg, net)
-    got = _solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET)
+    got = _solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET, {})
     _assert_same_solve(got, reference_solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET))
     assert got[0].assignment == (2, 0, 0, 0, 1)
     assert got[1] == 0.0

@@ -15,10 +15,13 @@ is unpacked with ``git archive`` into a temporary directory (under
 ``--tmpdir`` when given) and removed afterwards.
 
 The output holds each run's end-to-end metrics and correctness, and per
-workload the quartiles of each metric on both sides, the ratio change/parent
-of the medians (below 1 is better: every metric is lower-is-better) and the
-number of pairs the change won, next to the seeds and the host (python,
-numpy, nproc).
+workload the quartiles of each metric on both sides, whether every run of a
+side was correct and how many jobs its runs failed in all, the ratio
+change/parent of the medians (below 1 is better: every metric is
+lower-is-better) and the number of pairs the change won, next to the seeds
+and the host (python, numpy, nproc).  The script exits 1, after writing the
+file, when a change run is not correct or fails more jobs than the parent run
+of its pair.
 """
 
 from __future__ import annotations
@@ -86,11 +89,22 @@ def summarize(runs: list[dict]) -> dict:
     names = runs[0]["parent"]["metrics"]
     sides = {side: {m: quartiles([r[side]["metrics"][m] for r in runs]) for m in names}
              for side in ("parent", "change")}
+    for side, summary in sides.items():
+        summary["correct"] = all(r[side]["correct"] for r in runs)
+        summary["failed"] = sum(r[side]["failed"] for r in runs)
     ratio = {m: sides["change"][m]["median"] / sides["parent"][m]["median"]
              if sides["parent"][m]["median"] else None for m in names}
     wins = {m: sum(r["change"]["metrics"][m] < r["parent"]["metrics"][m] for r in runs)
             for m in names}
     return {**sides, "ratio": ratio, "change_wins": wins, "pairs": len(runs)}
+
+
+def refused(wl: str, runs: list[dict]) -> list[str]:
+    """The change runs that are not correct or fail more jobs than their parent."""
+    return [f"{wl} seed {r['seed']}: correct={r['change']['correct']}, failed "
+            f"{r['change']['failed']} against the parent's {r['parent']['failed']}"
+            for r in runs
+            if not r["change"]["correct"] or r["change"]["failed"] > r["parent"]["failed"]]
 
 
 def host() -> dict:
@@ -114,6 +128,7 @@ def main(argv=None) -> int:
         unpack(parent_rev, tmp)
         sides = {"parent": tmp, "change": ROOT}
         pair = 0
+        bad = []
         for wl in args.workloads:
             runs = []
             for seed in args.seeds:
@@ -128,11 +143,14 @@ def main(argv=None) -> int:
                 print(f"{wl} seed {seed}: " + " ".join(f"{m}={r:.3f}" for m, r in ratios.items()),
                       file=sys.stderr)
             result["workloads"][wl] = {"runs": runs, **summarize(runs)}
+            bad += refused(wl, runs)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(out)
-    return 0
+    for line in bad:
+        print(f"refused: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
