@@ -9,7 +9,8 @@ File formats (all JSON, unknown fields rejected):
                 where P is either {"default": x, "overrides": [[vertex, node, value]...]}
                 with node a 0-based network node index or "*" for every node,
                 or {"matrix": [[...]]} with one row per vertex and one column
-                per network node.  Source rows are forced to zero.
+                per network node.  The default/overrides form sets source rows
+                to zero; a matrix with a non-zero source row exits 2.
 * embedding:    {"map": {vertex-name: node-name, ...}} plus optional metric
                 fields when written by this tool.
 * edits:        {"adds": [{"edge": [u, v, weight], "layer": int}, ...]}

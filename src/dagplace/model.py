@@ -295,14 +295,12 @@ def build_computation(
     processing,
     *,
     require_dag=True,
-    allow_nonzero_source_processing=False,
 ) -> ComputationGraph:
     """Validate and construct a ComputationGraph.
 
     ``processing`` is array-like of shape (p, n_network).  Source rows must be
-    zero unless ``allow_nonzero_source_processing``.  Edge sizes and
-    processing values must be finite and non-negative (ValidationError for
-    NaN or infinity).
+    zero.  Edge sizes and processing values must be finite and non-negative
+    (ValidationError for NaN or infinity).
     ``require_dag=False`` admits cyclic schemas; only cost-based operations
     accept those.
     """
@@ -361,11 +359,8 @@ def build_computation(
         raise NegativeWeight("processing table has negative entries")
     if not np.isfinite(proc).all():
         raise ValidationError("processing table has non-finite entries")
-    if not allow_nonzero_source_processing and any(proc[s].any() for s in sources):
-        raise ValidationError(
-            "processing of a source must be zero"
-            " (pass allow_nonzero_source_processing=True to override)"
-        )
+    if any(proc[s].any() for s in sources):
+        raise ValidationError("processing of a source must be zero")
 
     if cg.is_dag:
         _warn_off_path(cg)

@@ -31,113 +31,104 @@ DEFAULT_TABLE_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Rooted tree of vertex bags with home-bag charging for edges and vertices."""
+    """A tree of vertex bags: the bags and the tree edges between them.
+
+    ``__post_init__`` sorts and de-duplicates each bag and casts the tree
+    edges to int pairs.  The value holds no root and no home bags, since
+    those depend on the graph solved: the engine checks a decomposition
+    against that graph and roots it there (``_rooted``).
+    """
 
     bags: tuple[tuple[int, ...], ...]  # each sorted by vertex id
     tree_edges: tuple[tuple[int, int], ...]
-    root: int
-    vertex_home: tuple[int, ...]  # bag index charging each computation vertex
-    edge_home: tuple[int, ...]  # bag index charging each computation edge
+
+    def __post_init__(self):
+        object.__setattr__(self, "bags", tuple(tuple(sorted(set(b))) for b in self.bags))
+        object.__setattr__(self, "tree_edges", tuple((int(a), int(b)) for a, b in self.tree_edges))
 
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
 
-    def children(self) -> dict[int, list[int]]:
-        """Each bag's children in increasing index; the keys list parents first."""
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.bags))}
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        out: dict[int, list[int]] = {}
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            b = stack.pop()
-            out[b] = [c for c in sorted(adj[b]) if c not in seen]
-            for c in out[b]:
-                seen.add(c)
-                stack.append(c)
-        return out
 
-
-def make_decomposition(cg: ComputationGraph, bags, tree_edges) -> TreeDecomposition:
-    """Validate, root (at the first bag holding the sink) and assign home bags.
+def _rooted(cg: ComputationGraph, td: TreeDecomposition):
+    """Check ``td`` against ``cg`` and root it: (children, home vertices, home edges).
 
     Raises InvalidDecomposition unless the bags form a tree, cover every
-    vertex and edge, and the bags holding each vertex are connected.  A
-    vertex's home is its bag nearest the root, ties to the smaller index.
-    Since the bags holding a vertex form a subtree, an edge's home, the bag
-    nearest the root holding both ends, is the deeper of the ends' homes.
+    vertex and edge, and the bags holding each vertex are connected.  The
+    root is the first bag holding the sink (bag 0 if none does).
+    ``children`` maps each bag to its children in increasing index and lists
+    each bag before the bags below it.  A bag's home vertices, in increasing
+    id, are those it holds and its parent does not; a vertex has exactly one
+    such bag, its bag nearest the root, iff the bags holding it are connected.
+    An edge's home, the bag nearest the root holding both ends, is whichever
+    of its ends' homes holds the other end (if neither does, no bag holds
+    both); each bag lists its home edges in ``cg.edges`` order.
     """
-    bags = tuple(tuple(sorted(set(b))) for b in bags)
-    tree_edges = tuple((int(a), int(b)) for a, b in tree_edges)
-    nb = len(bags)
+    bags, nb = td.bags, len(td.bags)
     if nb == 0:
         raise InvalidDecomposition("no bags")
-    if len(tree_edges) != nb - 1:
+    if len(td.tree_edges) != nb - 1:
         raise InvalidDecomposition(f"{nb} bags need {nb - 1} tree edges")
     adj: list[list[int]] = [[] for _ in range(nb)]
-    for a, b in tree_edges:
+    for a, b in td.tree_edges:
         if not (0 <= a < nb and 0 <= b < nb) or a == b:
             raise InvalidDecomposition(f"bad tree edge ({a},{b})")
         adj[a].append(b)
         adj[b].append(a)
     root = min((i for i, b in enumerate(bags) if cg.sink in b), default=0)
-    depth = [-1] * nb
-    depth[root] = 0
+    children: dict[int, list[int]] = {}
+    home_vertices: list[list[int]] = [[] for _ in range(nb)]
+    home_vertices[root] = list(bags[root])
+    seen = {root}
     stack = [root]
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if depth[y] < 0:
-                depth[y] = depth[x] + 1
-                stack.append(y)
-    if min(depth) < 0:
+        b = stack.pop()
+        children[b] = [c for c in sorted(adj[b]) if c not in seen]
+        for c in children[b]:
+            seen.add(c)
+            home_vertices[c] = [w for w in bags[c] if w not in bags[b]]
+            stack.append(c)
+    if len(children) < nb:
         raise InvalidDecomposition("bag tree is not connected")
 
     if set().union(*bags) != set(range(cg.p)):
         raise InvalidDecomposition("bags must cover every computation vertex")
-    # in a tree, the bags holding w are connected iff they outnumber the
-    # tree edges between two of them by exactly one
     pieces = [0] * cg.p
-    for bag in bags:
-        for w in bag:
+    home_bag = [0] * cg.p
+    for b, ws in enumerate(home_vertices):
+        for w in ws:
             pieces[w] += 1
-    for a, b in tree_edges:
-        for w in set(bags[a]).intersection(bags[b]):
-            pieces[w] -= 1
+            home_bag[w] = b
     for w, count in enumerate(pieces):
         if count != 1:
             raise InvalidDecomposition(f"bags containing vertex {w} are not connected")
 
-    vertex_home = [-1] * cg.p
-    for i in sorted(range(nb), key=lambda i: (depth[i], i)):
-        for w in bags[i]:
-            if vertex_home[w] < 0:
-                vertex_home[w] = i
-    edge_home = []
-    for a, b, _ in cg.edges:
-        ha, hb = vertex_home[a], vertex_home[b]
-        home = ha if depth[ha] >= depth[hb] else hb
-        if a not in bags[home] or b not in bags[home]:
+    home_edges: list[list[tuple[int, int, float]]] = [[] for _ in range(nb)]
+    for edge in cg.edges:
+        a, b, _ = edge
+        home = home_bag[a] if b in bags[home_bag[a]] else home_bag[b]
+        if a not in bags[home]:
             raise InvalidDecomposition(f"edge ({a},{b}) is in no bag")
-        edge_home.append(home)
-    return TreeDecomposition(
-        bags=bags, tree_edges=tree_edges, root=root,
-        vertex_home=tuple(vertex_home), edge_home=tuple(edge_home),
-    )
+        home_edges[home].append(edge)
+    return children, home_vertices, home_edges
+
+
+def make_decomposition(cg: ComputationGraph, bags, tree_edges) -> TreeDecomposition:
+    """The decomposition of ``bags`` and ``tree_edges``, checked against ``cg``
+    as every solve checks it (see ``_rooted``)."""
+    td = TreeDecomposition(bags, tree_edges)
+    _rooted(cg, td)
+    return td
 
 
 def layered_path_decomposition(ls: LayeredStructure, cg: ComputationGraph) -> TreeDecomposition:
-    """Path of r-1 bags, bag i holding layers i and i+1."""
+    """Path of r-1 bags, bag i holding layers i and i+1; ``cg`` is not read."""
     layers = ls.layers()
     if ls.r == 1:
-        bags = [tuple(layers[0])]
-        return make_decomposition(cg, bags, [])
-    bags = [tuple(sorted(layers[i] + layers[i + 1])) for i in range(ls.r - 1)]
-    edges = [(i, i + 1) for i in range(len(bags) - 1)]
-    return make_decomposition(cg, bags, edges)
+        return TreeDecomposition(layers, ())
+    bags = [layers[i] + layers[i + 1] for i in range(ls.r - 1)]
+    return TreeDecomposition(bags, [(i, i + 1) for i in range(len(bags) - 1)])
 
 
 def min_fill_decomposition(cg: ComputationGraph) -> TreeDecomposition:
@@ -197,7 +188,7 @@ def min_fill_decomposition(cg: ComputationGraph) -> TreeDecomposition:
         later = [index[v] for v in bag if v != elim_vertex[i]]
         parent = min(later) if later else i + 1
         tree_edges.append((i, parent))
-    return make_decomposition(cg, elim_bag, tree_edges)
+    return TreeDecomposition(elim_bag, tree_edges)
 
 
 def _message(table: np.ndarray, free: list[int], parent_bag, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,6 +225,9 @@ def _spread(m: np.ndarray, axes: list[int], f: int) -> np.ndarray:
 def _solve_bags(cg, td, pinned, dm, budget, known):
     """Bag-table dynamic program over ``td``: (embedding, cost, messages).
 
+    ``td`` is checked against ``cg`` and rooted by ``_rooted`` first, before
+    the budget check; the home bags and the children order are its.
+
     Bag b's table has one axis per free (unpinned) vertex of the bag, in
     increasing id order.  It starts as +0.0 with every axis of length 1 and
     adds, by broadcasting, the processing of the bag's home vertices, then
@@ -254,6 +248,8 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
     ``known`` takes its message from there and is not rebuilt, so ``known``
     must come from solves with the same ``dm``.
     """
+    children, home_vertices, home_edges = _rooted(cg, td)
+    root = next(iter(children))  # children lists each bag before the bags below it
     n = dm.n
     d = dm.dist
     proc = cg.processing
@@ -261,31 +257,22 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
     if (cells := max(n ** len(f) for f in free)) > budget:
         raise BudgetExceeded(f"bag table of {cells} cells exceeds the budget of {budget}")
 
-    home_vertices: list[list[int]] = [[] for _ in td.bags]
-    for w, b in enumerate(td.vertex_home):
-        home_vertices[b].append(w)
-    home_edges: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
-    for edge, hb in zip(cg.edges, td.edge_home):
-        home_edges[hb].append(edge)
-
-    children = td.children()  # lists each bag before the bags below it
-    parent_bag = {c: td.bags[b] for b, cs in children.items() for c in cs}
-
     keys: dict[int, tuple] = {}
     messages: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     # sent[b]: bag b's message, by bag index for the tables and the backtrack
     sent: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(td.bags)
     for b in reversed(children):
-        up = parent_bag.get(b, ())
+        # the separator with the parent bag: the vertices not at home here
+        sep = tuple(w for w in td.bags[b] if w not in home_vertices[b])
         key = keys[b] = (
             td.bags[b],
             tuple(map(pinned.get, td.bags[b])),
-            tuple(w for w in td.bags[b] if w in up),
+            sep,
             tuple((w, proc[w].tobytes()) for w in home_vertices[b]),
             tuple(home_edges[b]),
             tuple(map(keys.__getitem__, children[b])),
         )
-        hit = known.get(key) if known and b != td.root else None
+        hit = known.get(key) if known and b != root else None
         if hit is not None:
             sent[b] = messages[key] = hit
             continue
@@ -318,15 +305,15 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
                 table = np.add(table, term, order="C")
         # an axis no term spans still has length 1: broadcast it to n
         table = table if table.shape == full else np.broadcast_to(table, full)
-        if b != td.root:
-            sent[b] = messages[key] = _message(table, fb, up, n)
+        if b != root:
+            sent[b] = messages[key] = _message(table, fb, sep, n)
 
-    root = table  # the root comes last
-    top = np.unravel_index(int(root.argmin()), root.shape)
+    # the root comes last, so ``table`` is its table
+    top = np.unravel_index(int(table.argmin()), table.shape)
     assignment = [0] * cg.p
     for w, v in pinned.items():
         assignment[w] = v
-    for w, v in zip(free[td.root], top):
+    for w, v in zip(free[root], top):
         assignment[w] = int(v)
     for b in children:
         for ch in children[b]:
@@ -335,7 +322,7 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
             pick = int(sent[ch][1][tuple(assignment[w] for w in sep)])
             for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
                 assignment[w] = int(v)
-    return Embedding(tuple(assignment)), float(root[top]), messages
+    return Embedding(tuple(assignment)), float(table[top]), messages
 
 
 def min_cost_treewidth(
@@ -348,12 +335,11 @@ def min_cost_treewidth(
 ) -> tuple[Embedding, float]:
     """Minimum-cost embedding using the supplied decomposition; exact.
 
-    Only ``td.bags`` and ``td.tree_edges`` are read: ``make_decomposition``
-    validates them against ``cg`` and derives the root and home bags anew.
+    The engine checks ``td`` against ``cg`` and roots it (``_rooted``), so
+    a decomposition built by hand or for another graph is judged here.
     Ties go to the lexicographically smallest assignment per bag, resolved
     root-down.  ``budget`` bounds the cells of the largest bag table, counting
     only unpinned vertices.
     """
-    td = make_decomposition(cg, td.bags, td.tree_edges)
     emb, cost, _ = _solve_bags(cg, td, pinned_images(cg, net), dm, budget, {})
     return emb, cost

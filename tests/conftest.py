@@ -15,6 +15,7 @@ from dagplace.cli import (
 from dagplace.errors import BudgetExceeded
 from dagplace.metrics import Embedding, embedding_cost, embedding_delay
 from dagplace.model import build_computation, pinned_images
+from dagplace.solver_treewidth import _rooted
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -208,7 +209,11 @@ def reference_solve_bags(cg, td, pinned, dm, budget):
     argmin) message.  The key holds the bag's vertices, the images of its
     pinned vertices, its separator with its parent bag, its home vertices
     with their processing rows' bytes, its home edges and its children's
-    keys; two bags with one key must send byte-identical messages."""
+    keys; two bags with one key must send byte-identical messages.  It takes
+    the rooting (children order and home bags) from ``_rooted``, which
+    ``_nearest_bag_homes`` in ``tests/test_solver_treewidth.py`` checks."""
+    children, home_vertices, home_edges = _rooted(cg, td)
+    root = next(iter(children))
     n = dm.n
     d = dm.dist
     free = [[w for w in bag if w not in pinned] for bag in td.bags]
@@ -216,16 +221,8 @@ def reference_solve_bags(cg, td, pinned, dm, budget):
     if cells > budget:
         raise BudgetExceeded(f"bag table of {cells} cells exceeds the budget of {budget}")
 
-    home_vertices: list[list[int]] = [[] for _ in td.bags]
-    for w, b in enumerate(td.vertex_home):
-        home_vertices[b].append(w)
-    home_edges: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
-    for edge, hb in zip(cg.edges, td.edge_home):
-        home_edges[hb].append(edge)
-
-    children = td.children()
     post = []
-    stack = [(td.root, False)]
+    stack = [(root, False)]
     while stack:
         b, expanded = stack.pop()
         if expanded:
@@ -253,14 +250,13 @@ def reference_solve_bags(cg, td, pinned, dm, budget):
             table += messages[ch][0].reshape([n if w in td.bags[ch] else 1 for w in fb])
         tables[b] = table
 
-    root = tables[td.root]
-    flat = int(root.argmin())
+    flat = int(tables[root].argmin())
     assignment = [0] * cg.p
     for w, v in pinned.items():
         assignment[w] = v
-    for w, v in zip(free[td.root], np.unravel_index(flat, root.shape)):
+    for w, v in zip(free[root], np.unravel_index(flat, tables[root].shape)):
         assignment[w] = int(v)
-    stack2 = [td.root]
+    stack2 = [root]
     while stack2:
         b = stack2.pop()
         for ch in children[b]:
@@ -279,8 +275,8 @@ def reference_solve_bags(cg, td, pinned, dm, budget):
                    tuple(w for w in td.bags[b] if w in up),
                    tuple((w, cg.processing[w].tobytes()) for w in home_vertices[b]),
                    tuple(home_edges[b]), tuple(keys[c] for c in children[b]))
-        if b != td.root:
+        if b != root:
             same = keyed.setdefault(keys[b], messages[b])
             for x, y in zip(same, messages[b]):
                 assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
-    return Embedding(tuple(assignment)), float(root.reshape(-1)[flat]), keyed
+    return Embedding(tuple(assignment)), float(tables[root].reshape(-1)[flat]), keyed

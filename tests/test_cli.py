@@ -596,6 +596,18 @@ def test_validate_computation_alone():
     assert main(["validate"]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "layered"])
+def test_matrix_with_a_non_zero_source_row_exits_2(command, tmp_path, capsys):
+    # prodsum's sources x1..x3 are its first rows; the network has 8 nodes
+    rows = [[0.0] * 8 for _ in range(7)]
+    rows[1][5] = 2.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with("prodsum_cg.json", processing={"matrix": rows})))
+    capsys.readouterr()
+    assert main(_argv(command, str(bad), tmp_path)) == 2
+    assert capsys.readouterr() == ("", "error: processing of a source must be zero\n")
+
+
 def test_network_and_computation_need_the_same_source_count(tmp_path):
     # fanin has four sources, the prodsum network three
     mismatched = ["--network", fx("prodsum_net.json"), "--computation", fx("fanin_cg.json")]

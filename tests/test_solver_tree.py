@@ -91,12 +91,17 @@ def in_trees(draw):
     proc = np.zeros((p, n))
     proc[k:] = np.reshape(draw(st.lists(_SIZES, min_size=(p - k) * n,
                                         max_size=(p - k) * n)), (p - k, n))
+    return build_computation(p, edges, range(k), p - 1, proc), _network(draw, n, k, _SIZES)
+
+
+def _network(draw, n, k, values):
+    """A connected network of n nodes with k sources and a sink on distinct
+    nodes: a spanning tree plus any further links, weighted from ``values``."""
     links = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
     links |= draw(st.sets(st.sampled_from([(u, v) for v in range(n) for u in range(v)])))
     roles = draw(st.permutations(range(n)))
-    net = build_network(n, [(u, v, draw(_SIZES)) for u, v in sorted(links)],
-                        roles[:k], roles[k])
-    return build_computation(p, edges, range(k), p - 1, proc), net
+    return build_network(n, [(u, v, draw(values)) for u, v in sorted(links)],
+                         roles[:k], roles[k])
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -105,6 +110,38 @@ def test_property_tree_delay_equals_the_oracle(instance):
     cg, net = instance
     dm = apsp(net)
     _, rep = min_delay_tree(cg, net, dm)
+    _, best = brute_force_min_delay(cg, net, dm)
+    assert rep.total == best.total
+
+
+@st.composite
+def collapse_dags(draw):
+    """(DAG, network) in collapse's precondition class: zero processing and
+    unit edge sizes.  Of 3-6 vertices the sources come first and the sink
+    last; each middle vertex is fed by one or more earlier vertices, source
+    0 feeds both the first middle vertex and the sink, so there is always
+    fan-out, and every other vertex that feeds no vertex feeds the sink.
+    Link weights are multiples of 0.5, so every delay sum is exact, and may
+    be zero."""
+    k = draw(st.integers(1, 2))
+    p = draw(st.integers(k + 2, 6))
+    n = draw(st.integers(k + 1, 4))
+    pairs = {(0, k), (0, p - 1)}
+    for w in range(k, p - 1):
+        pairs |= {(u, w) for u in draw(st.sets(st.integers(0, w - 1), min_size=1))}
+    pairs |= {(u, p - 1) for u in range(p - 1) if all(a != u for a, _ in pairs)}
+    cg = build_computation(p, [(a, b, 1.0) for a, b in sorted(pairs)], range(k), p - 1,
+                           np.zeros((p, n)))
+    return cg, _network(draw, n, k, st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(collapse_dags())
+def test_property_collapse_delay_equals_the_oracle(instance):
+    cg, net = instance
+    dm = apsp(net)
+    assert len(cg.out_edges()[0]) > 1  # fan-out
+    _, rep = min_delay_collapse(cg, net, dm)
     _, best = brute_force_min_delay(cg, net, dm)
     assert rep.total == best.total
 

@@ -30,6 +30,8 @@ from dagplace.oracle import brute_force_min_cost
 from dagplace.solver_layered import apply_perturbations, min_cost_layered
 from dagplace.solver_treewidth import (
     DEFAULT_TABLE_BUDGET,
+    TreeDecomposition,
+    _rooted,
     _solve_bags,
     layered_path_decomposition,
     make_decomposition,
@@ -216,6 +218,21 @@ class TestMinCostTreewidth:
         assert cost == brute_force_min_cost(cg, net, dm)[1] == 5
         assert embedding_cost(cg, dm, emb) == cost
 
+    def test_hand_built_value_is_normalised_and_solved(self):
+        # unsorted bags that repeat a vertex, out of root-first order, never
+        # passed through make_decomposition
+        cg, net = load_fixture("prodsum")
+        dm = apsp(net)
+        bags, tree_edges = [(6, 5, 5), (4, 3, 5, 3), (2, 1, 0, 4, 3, 0)], [(0, 1), (2.0, 1)]
+        td = TreeDecomposition(bags, tree_edges)
+        assert td.bags == ((5, 6), (3, 4, 5), (0, 1, 2, 3, 4))
+        assert td.tree_edges == ((0, 1), (2, 1)) and type(td.tree_edges[1][0]) is int
+        emb, cost = min_cost_treewidth(cg, td, net, dm)
+        assert (emb, cost) == min_cost_treewidth(cg, make_decomposition(cg, bags, tree_edges),
+                                                 net, dm)
+        assert cost == reference_brute_force(cg, net, dm, "mincost")[1] == 34
+        assert embedding_cost(cg, dm, emb) == cost
+
     def test_budget_counts_free_cells_only(self):
         cg, net = load_fixture("prodsum")
         dm = apsp(net)
@@ -306,12 +323,30 @@ def _cyclic_embeddings(cg, net):
         yield Embedding(tuple(asg))
 
 
-def _nearest_bag_homes(cg, td):
-    """Home bags by brute force: the bag nearest the root holding the vertex
-    (both ends of the edge), ties to the smaller index."""
-    children = td.children()
-    depth = {td.root: 0}
-    stack = [td.root]
+def _reference_children(td, root):
+    """Each bag's children in increasing index, keyed parents first in the
+    order of a depth-first walk from ``root`` that pushes them in that order."""
+    adj = {i: [] for i in range(len(td.bags))}
+    for a, b in td.tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    out, seen, stack = {}, {root}, [root]
+    while stack:
+        b = stack.pop()
+        out[b] = [c for c in sorted(adj[b]) if c not in seen]
+        seen.update(out[b])
+        stack += out[b]
+    return out
+
+
+def _nearest_bag_homes(cg, td, children):
+    """Home bags by brute force, per bag: the vertices (in id order) and edges
+    (in ``cg.edges`` order) whose nearest bag to the root of ``children``
+    holding the vertex (both ends of the edge) it is, ties to the smaller
+    index."""
+    root = next(iter(children))
+    depth = {root: 0}
+    stack = [root]
     while stack:
         b = stack.pop()
         for c in children[b]:
@@ -321,9 +356,13 @@ def _nearest_bag_homes(cg, td):
     def nearest(holds):
         return min((i for i, bag in enumerate(td.bags) if holds(bag)), key=lambda i: (depth[i], i))
 
-    vertex = tuple(nearest(lambda bag, w=w: w in bag) for w in range(cg.p))
-    edge = tuple(nearest(lambda bag, a=a, b=b: a in bag and b in bag) for a, b, _ in cg.edges)
-    return vertex, edge
+    vertices = [[] for _ in td.bags]
+    for w in range(cg.p):
+        vertices[nearest(lambda bag: w in bag)].append(w)
+    edges = [[] for _ in td.bags]
+    for a, b, lam in cg.edges:
+        edges[nearest(lambda bag: a in bag and b in bag)].append((a, b, lam))
+    return vertices, edges
 
 
 def _random_decompositions(rng, count):
@@ -371,14 +410,19 @@ def test_engine_equals_the_reference_on_shuffled_decompositions():
 class TestDecompositionValidation:
     def test_homes_match_nearest_bag(self):
         for cg, td in _random_decompositions(np.random.default_rng(33), 60):
-            assert td.root == min(i for i, bag in enumerate(td.bags) if cg.sink in bag)
-            assert (td.vertex_home, td.edge_home) == _nearest_bag_homes(cg, td)
-
+            children, home_vertices, home_edges = _rooted(cg, td)
+            root = min(i for i, bag in enumerate(td.bags) if cg.sink in bag)
+            assert list(children.items()) == list(_reference_children(td, root).items())
+            assert (home_vertices, home_edges) == _nearest_bag_homes(cg, td, children)
 
     def test_missing_edge_coverage(self):
-        cg, _ = load_fixture("prodsum")
-        with pytest.raises(InvalidDecomposition):
+        cg, net = load_fixture("prodsum")
+        with pytest.raises(InvalidDecomposition, match=r"^edge \(3,5\) is in no bag$"):
             make_decomposition(cg, [(0, 1, 2, 3, 4), (5, 6)], [(0, 1)])
+        # a hand-built value is checked by the solve itself
+        td = TreeDecomposition([(0, 1, 2, 3, 4), (5, 6)], [(0, 1)])
+        with pytest.raises(InvalidDecomposition, match=r"^edge \(3,5\) is in no bag$"):
+            min_cost_treewidth(cg, td, net, apsp(net))
 
     def test_disconnected_occurrence(self):
         cg = build_computation(
@@ -400,14 +444,13 @@ class TestDecompositionValidation:
             n = int(rng.integers(2, 5))
             cg, ls = random_layered_cg(int(rng.integers(2, 5)), 3, n, rng)
             for td in (min_fill_decomposition(cg), layered_path_decomposition(ls, cg)):
-                make_decomposition(cg, td.bags, td.tree_edges)
+                _, home_vertices, home_edges = _rooted(cg, td)
                 # charging uniqueness: every vertex and edge has one home bag
-                assert len(td.vertex_home) == cg.p
-                assert len(td.edge_home) == cg.q
-                for w, b in enumerate(td.vertex_home):
-                    assert w in td.bags[b]
-                for (a, b2, _), hb in zip(cg.edges, td.edge_home):
-                    assert a in td.bags[hb] and b2 in td.bags[hb]
+                assert sorted(w for ws in home_vertices for w in ws) == list(range(cg.p))
+                assert sorted(e for es in home_edges for e in es) == sorted(cg.edges)
+                for bag, ws, es in zip(td.bags, home_vertices, home_edges):
+                    assert all(w in bag for w in ws)
+                    assert all(a in bag and b2 in bag for a, b2, _ in es)
 
 
 def _assert_same_solve(got, ref):
@@ -461,8 +504,9 @@ def test_all_ties_go_to_the_smallest_assignment():
     cg = build_computation(5, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0),
                                (1, 4, 1.0)], (0,), 4, np.zeros((5, 3)))
     td = min_fill_decomposition(cg)
-    assert (td.bags[1], td.bags[td.root]) == ((1, 2, 3), (1, 3, 4))
-    assert (1, td.root) in td.tree_edges
+    root = next(iter(_rooted(cg, td)[0]))
+    assert (td.bags[1], td.bags[root]) == ((1, 2, 3), (1, 3, 4))
+    assert (1, root) in td.tree_edges
     dm = apsp(net)
     pinned = pinned_images(cg, net)
     got = _solve_bags(cg, td, pinned, dm, DEFAULT_TABLE_BUDGET, {})

@@ -7,12 +7,16 @@ The default seeds are 101-110 and the held-out 7919, so that a default run
 gives each workload the ten or more pairs a claimed gain needs.
 
 For every (workload, seed) pair the script runs ``perfbench/run.py`` for the
-``run_seconds`` of BENCHMARK.json, once in a checkout of the parent revision
-and once in this working tree, each with its own ``perfbench/`` and ``src/``.
-The side that runs first alternates from one pair to the next, so a slow
-stretch of a shared host does not land on one side only.  The parent checkout
-is unpacked with ``git archive`` into a temporary directory (under
-``--tmpdir`` when given) and removed afterwards.
+``run_seconds`` of BENCHMARK.json, once on each side, each with its own
+``perfbench/`` and ``src/``.  Both sides run from one temporary directory
+(under ``--tmpdir`` when given), which is removed afterwards: the parent from
+``parent/``, a ``git archive`` checkout of the parent revision, and the change
+from ``change/``, a copy of this working tree's ``src/``, ``perfbench/``,
+``fixtures/`` (which the workloads read) and BENCHMARK.json made before the
+first run.  So the two sides differ only in their files, not in where they
+lie, and edits to the working tree during a run do not reach it.  The side
+that runs first alternates from one pair to the next, so a slow stretch of a
+shared host does not land on one side only.
 
 The output holds each run's end-to-end metrics and correctness, and per
 workload the quartiles of each metric on both sides, whether every run of a
@@ -51,7 +55,7 @@ def parse_args(argv=None):
     ap.add_argument("--workloads", nargs="+", default=WORKLOADS, choices=WORKLOADS)
     ap.add_argument("--seeds", nargs="+", type=int, default=[*range(101, 111), 7919])
     ap.add_argument("--tmpdir", type=Path, default=None,
-                    help="directory for the parent checkout (default: system temp)")
+                    help="directory for the two checkouts (default: system temp)")
     return ap.parse_args(argv)
 
 
@@ -63,6 +67,13 @@ def git(*args: str) -> bytes:
 def unpack(rev: str, dest: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
+
+
+def copy_tree(dest: Path) -> None:
+    """Copy what ``perfbench/run.py`` reads of the working tree to ``dest``."""
+    for name in ("src", "perfbench", "fixtures"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "BENCHMARK.json", dest)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,12 +132,13 @@ def main(argv=None) -> int:
     seconds = SPEC["run_seconds"]
     if args.tmpdir:
         args.tmpdir.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-", dir=args.tmpdir))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pair-", dir=args.tmpdir))
     result = {"tag": args.tag, "parent": parent_rev, "change": "working tree",
               "seconds": seconds, "seeds": args.seeds, "host": host(), "workloads": {}}
     try:
-        unpack(parent_rev, tmp)
-        sides = {"parent": tmp, "change": ROOT}
+        sides = {"parent": tmp / "parent", "change": tmp / "change"}
+        unpack(parent_rev, sides["parent"])
+        copy_tree(sides["change"])
         pair = 0
         bad = []
         for wl in args.workloads:
