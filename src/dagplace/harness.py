@@ -7,9 +7,10 @@ parallelize.
 
 from __future__ import annotations
 
+import functools
 import logging
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,8 +62,12 @@ class ExperimentConfig:
             raise ValueError("counts must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+        if self.xi_lo < 0:
+            raise ValueError("xi_lo must be non-negative")
         if self.xi_lo > self.xi_hi:
             raise ValueError("xi_lo must not exceed xi_hi")
+        if self.max_resamples < 1:
+            raise ValueError("max_resamples must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -103,18 +108,25 @@ def random_network(
     tails, heads = np.triu_indices(n, 1)  # pairs u < v in row-major order
     for attempt in range(max_resamples):
         mask = rng.random(tails.size) < p_r
-        count = int(np.count_nonzero(mask))
         if weight_model == "unit":
-            weights = [1.0] * count
+            weights = np.ones(np.count_nonzero(mask))
         else:
             lo, hi = weight_range
-            weights = rng.integers(lo, hi + 1, size=count).astype(float).tolist()
-        edges = list(zip(tails[mask].tolist(), heads[mask].tolist(), weights))
-        if len(_components(n, edges)) == 1:
+            weights = rng.integers(lo, hi + 1, size=np.count_nonzero(mask)).astype(float)
+        u, v = tails[mask], heads[mask]
+        # most sparse draws leave a node without links, and counting takes
+        # a fraction of a search
+        if np.bincount(np.concatenate((u, v)), minlength=n).all() \
+                and len(next(_components(n, u, v))) == n:
             if attempt:
                 logger.debug("connected after %d resamples (n=%d, p_r=%g)",
                              attempt, n, p_r)
-            return build_network(n, edges)
+            # the pairs are distinct, in range and sorted by construction, so
+            # only the weights can be invalid; build_network names the link
+            edges = tuple(zip(u.tolist(), v.tolist(), weights.tolist()))
+            if not (np.isfinite(weights) & (weights >= 0)).all():
+                return build_network(n, edges)  # raises, naming the first bad link
+            return NetworkGraph(n=n, edges=edges)
     raise MaxResamplesExceeded(
         f"no connected sample in {max_resamples} draws (n={n}, p_r={p_r})"
     )
@@ -137,17 +149,10 @@ def random_connected_network(n, seed, *, extra_edge_p=0.3, weight_range=(0, 5)) 
     return build_network(n, edges)
 
 
-def random_binary_tree_cg(p: int, n: int, seed, *, xi_lo=1, xi_hi=10) -> ComputationGraph:
-    """Binary in-tree: leaves are the sources, the root is the sink.
-
-    Vertex w of the heap shape feeds floor(w/2); leaves become sources 0..K-1,
-    the root becomes the sink.  Edge weights are one; processing of each
-    non-source vertex is one integer from [xi_lo, xi_hi] uniformly, the same
-    at every network node.
-    """
-    if p < 3:
-        raise ValueError("need at least three vertices")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+@functools.lru_cache(maxsize=64)
+def _binary_tree(p: int) -> ComputationGraph:
+    """The checked heap-shaped in-tree of ``random_binary_tree_cg``, with a
+    zero processing table of one column."""
     heap_children = {w: [c for c in (2 * w, 2 * w + 1) if c <= p] for w in range(1, p + 1)}
     leaves = sorted(w for w, cs in heap_children.items() if not cs)
     internal = sorted((w for w, cs in heap_children.items() if cs), reverse=True)
@@ -158,12 +163,30 @@ def random_binary_tree_cg(p: int, n: int, seed, *, xi_lo=1, xi_hi=10) -> Computa
         ident[w] = len(leaves) + i
     ident[1] = p - 1  # root last
     edges = [(ident[w], ident[w // 2], 1.0) for w in range(2, p + 1)]
-    proc = np.zeros((p, n))
-    for w in range(len(leaves), p):
-        proc[w, :] = float(rng.integers(xi_lo, xi_hi + 1))
     return build_computation(
-        p, edges, sources=tuple(range(len(leaves))), sink=p - 1, processing=proc
+        p, edges, sources=tuple(range(len(leaves))), sink=p - 1, processing=np.zeros((p, 1))
     )
+
+
+def random_binary_tree_cg(p: int, n: int, seed, *, xi_lo=1, xi_hi=10) -> ComputationGraph:
+    """Binary in-tree: leaves are the sources, the root is the sink.
+
+    Vertex w of the heap shape feeds floor(w/2); leaves become sources 0..K-1,
+    the root becomes the sink.  Edge weights are one; processing of each
+    non-source vertex is one integer from [xi_lo, xi_hi] uniformly, the same
+    at every network node.  The shape is built and checked once per p.
+    """
+    if p < 3:
+        raise ValueError("need at least three vertices")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    tree = _binary_tree(p)
+    xi = [float(rng.integers(xi_lo, xi_hi + 1)) for _ in range(tree.k, p)]
+    proc = np.zeros((p, n))
+    proc[tree.k:] = np.array(xi)[:, None]
+    if (proc < 0).any():
+        return build_computation(p, tree.edges, tree.sources, tree.sink, proc)  # raises
+    proc.setflags(write=False)
+    return replace(tree, processing=proc)
 
 
 def random_layered_cg(

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import ComputationGraph, DistanceMatrix, NetworkGraph, extract_path, pinned_images
+from .model import ComputationGraph, DistanceMatrix, NetworkGraph, extract_paths, pinned_images
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def embedding_delay(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> D
 
 def route_edges(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding):
     """Shortest routed path (node sequence) for each computation edge."""
-    return [extract_path(dm, e.assignment[a], e.assignment[b]) for a, b, _ in cg.edges]
+    asg = e.assignment
+    return extract_paths(dm, [(asg[a], asg[b]) for a, b, _ in cg.edges])
 
 
 def max_link_usage(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> int:

@@ -7,6 +7,7 @@ operations here are pure functions.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
@@ -150,7 +151,9 @@ class DistanceMatrix:
     positive one whose weight is lost to rounding) must instead raise h, so
     zero-weight cycles are never walked.  h counts every tight link, so the
     chosen path need not have the fewest hops of all shortest paths.
-    Each source's choices are built on its first request and cached.
+    Each source's choices are built on its first request and cached; the
+    sources that one ``extract_paths`` call needs are built together, in one
+    numpy pass over the directed links (derived once, on first use).
     Equality and hashing are by identity, as for ``ComputationGraph``.
     """
 
@@ -162,13 +165,17 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.dist.shape[0]
 
+    @functools.cached_property
+    def _links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tails, heads and weights of the directed links, in (tail, head) order."""
+        tails, heads = np.nonzero(self.weight < np.inf)
+        return tails, heads, self.weight[tails, heads]
+
     def parents(self, u: int) -> tuple[int, ...]:
         """``parents(u)[v]`` precedes v on the chosen u->v path (u for v == u,
         -1 where v is unreachable)."""
-        par = self._parents.get(u)
-        if par is None:
-            par = self._parents[u] = _path_tree(self.dist[u], self.weight, u)
-        return par
+        _build_trees(self, (u,))
+        return self._parents[u]
 
 
 @dataclass(frozen=True)
@@ -210,28 +217,23 @@ def pinned_images(cg: ComputationGraph, net: NetworkGraph) -> dict[int, int]:
     return pinned
 
 
-def _components(n: int, edges) -> list[set[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
+def _components(n: int, tails, heads):
+    """Yield the connected components of the n-node graph with links
+    ``tails[i]``-``heads[i]``, each as an ascending node list, in order of
+    their smallest node.  Each is a breadth-first search over a dense
+    adjacency matrix, so taking only the first costs one search."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[tails, heads] = adj[heads, tails] = True
+    left = np.ones(n, dtype=bool)
+    while left.any():
+        comp = np.zeros(n, dtype=bool)
+        front = comp.copy()
+        front[left.argmax()] = True
+        while front.any():
+            comp |= front
+            front = adj[front].any(axis=0) & ~comp
+        left &= ~comp
+        yield np.flatnonzero(comp).tolist()
 
 
 def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -> NetworkGraph:
@@ -261,9 +263,11 @@ def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -
             raise DuplicateEdge(f"more than one edge between {pair[0]} and {pair[1]}")
         seen_pairs.add(pair)
         norm.append((pair[0], pair[1], w))
-    comps = _components(n, norm)
-    if len(comps) > 1:
-        raise DisconnectedGraph(comps)
+    ends = np.array([(u, v) for u, v, _ in norm], dtype=np.intp).reshape(-1, 2)
+    comps = _components(n, ends[:, 0], ends[:, 1])
+    first = next(comps)
+    if len(first) < n:
+        raise DisconnectedGraph([first, *comps])
     sources, sink = _check_roles(n, sources, sink, allow_sink_source)
     return NetworkGraph(n=n, edges=tuple(sorted(norm)), sources=sources, sink=sink)
 
@@ -419,63 +423,96 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
     return DistanceMatrix(dist=dist, weight=weight)
 
 
-def _path_tree(d: np.ndarray, weight: np.ndarray, u: int) -> tuple[int, ...]:
-    """Parents of the chosen paths from u, given u's distance row ``d``."""
-    n = len(d)
-    tight = (d[:, None] + weight == d[None, :]) & (weight < np.inf)
-    flat = tight & (d[:, None] == d[None, :])
-    # every other tight link raises the distance, so without flat links the
-    # hop count drops nothing; skipping it saves 40-50% of such a row
-    if flat.any():
-        # hops by breadth-first levels over the tight links; a flat tight
-        # link is kept only when it adds the one hop
-        hops = np.full(n, n)
-        level = np.zeros(n, dtype=bool)
-        level[u] = True
-        k = 0
-        while level.any():
-            hops[level] = k
-            k += 1
-            level = tight[level].any(axis=0) & (hops == n)
-        tight &= ~flat | (hops[:, None] < hops[None, :])
-    # depth-first from u, smallest node first: on this acyclic link set the
-    # first visit of a node comes along its lexicographically smallest path
-    tails, heads = np.nonzero(tight)
-    heads = heads.tolist()
-    end = np.cumsum(np.bincount(tails, minlength=n)).tolist()
-    nxt = [0] + end[:-1]
-    parent = [-1] * n
+# (row, link) cells that one numpy pass of ``_build_trees`` holds at most
+_TREE_CELLS = 1 << 18
+
+
+def _build_trees(dm: DistanceMatrix, rows) -> None:
+    """Cache the parents of the chosen paths from every source in ``rows``
+    not yet cached, computing the tight links of all of them at once."""
+    todo = [u for u in dict.fromkeys(rows) if u not in dm._parents]
+    tails, heads, weights = dm._links
+    n = dm.n
+    step = max(1, _TREE_CELLS // max(len(tails), 1))
+    for i in range(0, len(todo), step):
+        chunk = todo[i:i + step]
+        d = dm.dist[chunk]
+        dt, dh = d[:, tails], d[:, heads]
+        tight = dt + weights == dh
+        flat = tight & (dt == dh)
+        # every other tight link raises the distance, so only rows with flat
+        # links need the hop count
+        f = np.flatnonzero(flat.any(axis=1))
+        if f.size:
+            # hops by breadth-first levels over the tight links; a flat tight
+            # link is kept only when it adds the one hop
+            ft = tight[f]
+            hops = np.full((f.size, n), n)
+            level = np.zeros((f.size, n), dtype=bool)
+            level[np.arange(f.size), np.array(chunk)[f]] = True
+            k = 0
+            while level.any():
+                hops[level] = k
+                k += 1
+                r, l = np.nonzero(ft & level[:, tails])
+                level = np.zeros_like(level)
+                level[r, heads[l]] = True
+                level &= hops == n
+            tight[f] &= ~flat[f] | (hops[:, tails] < hops[:, heads])
+        r, l = np.nonzero(tight)  # row by row, each in (tail, head) order
+        head = heads[l].tolist()
+        end = np.cumsum(np.bincount(r * n + tails[l], minlength=len(chunk) * n)).tolist()
+        start = [0] + end[:-1]
+        for j, u in enumerate(chunk):
+            dm._parents[u] = _dfs(u, head, start[j * n:(j + 1) * n], end[j * n:(j + 1) * n])
+
+
+def _dfs(u: int, head: list, nxt: list, end: list) -> tuple[int, ...]:
+    """Parents of a depth-first walk from u, smallest node first, where x's
+    tight links lead to ``head[nxt[x]:end[x]]``.  On this acyclic link set the
+    first visit of a node comes along its lexicographically smallest path."""
+    parent = [-1] * len(nxt)
     parent[u] = u
     stack = [u]
     while stack:
         x = stack[-1]
         i, stop = nxt[x], end[x]
-        while i < stop and parent[heads[i]] >= 0:
+        while i < stop and parent[head[i]] >= 0:
             i += 1
         if i == stop:
             stack.pop()
             continue
         nxt[x] = i + 1
-        w = heads[i]
+        w = head[i]
         parent[w] = x
         stack.append(w)
     return tuple(parent)
 
 
+def extract_paths(dm: DistanceMatrix, pairs) -> list[list[int]]:
+    """Node sequences of the chosen shortest u->v paths of ``pairs``, in
+    order; [u] when u == v.  The source rows they need are built together."""
+    pairs = list(pairs)
+    _build_trees(dm, [u for u, v in pairs if u != v])
+    out = []
+    for u, v in pairs:
+        path = [v]
+        if u != v:
+            parent = dm._parents[u]
+            x = v
+            while x != u:
+                x = parent[x]
+                if x < 0:
+                    raise ValidationError(f"no path from {u} to {v}")
+                path.append(x)
+            path.reverse()
+        out.append(path)
+    return out
+
+
 def extract_path(dm: DistanceMatrix, u: int, v: int) -> list[int]:
     """Node sequence of the chosen shortest u->v path; [u] when u == v."""
-    if u == v:
-        return [u]
-    parent = dm.parents(u)
-    out = [v]
-    x = v
-    while x != u:
-        x = parent[x]
-        if x < 0:
-            raise ValidationError(f"no path from {u} to {v}")
-        out.append(x)
-    out.reverse()
-    return out
+    return extract_paths(dm, [(u, v)])[0]
 
 
 def infer_layering(cg: ComputationGraph) -> LayeredStructure:

@@ -20,6 +20,75 @@ from dagplace.solver_treewidth import _rooted
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def reference_components(n: int, edges) -> list[set[int]]:
+    """Node sets of the connected components of the n-node graph with links
+    ``edges`` ((u, v, weight) triples), by a depth-first search from each
+    node not yet seen in turn; the reference for ``model._components``."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        comp = {s}
+        seen[s] = True
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(comp)
+    return comps
+
+
+def reference_path_tree(d: np.ndarray, weight: np.ndarray, u: int) -> tuple[int, ...]:
+    """Parents of the chosen paths from u, given u's distance row ``d``, one
+    source row at a time over the dense (n, n) link matrix; the reference
+    for ``DistanceMatrix.parents`` and ``model.extract_paths``."""
+    n = len(d)
+    tight = (d[:, None] + weight == d[None, :]) & (weight < np.inf)
+    flat = tight & (d[:, None] == d[None, :])
+    if flat.any():
+        # hops by breadth-first levels over the tight links; a flat tight
+        # link is kept only when it adds the one hop
+        hops = np.full(n, n)
+        level = np.zeros(n, dtype=bool)
+        level[u] = True
+        k = 0
+        while level.any():
+            hops[level] = k
+            k += 1
+            level = tight[level].any(axis=0) & (hops == n)
+        tight &= ~flat | (hops[:, None] < hops[None, :])
+    # depth-first from u, smallest node first
+    tails, heads = np.nonzero(tight)
+    heads = heads.tolist()
+    end = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    nxt = [0] + end[:-1]
+    parent = [-1] * n
+    parent[u] = u
+    stack = [u]
+    while stack:
+        x = stack[-1]
+        i, stop = nxt[x], end[x]
+        while i < stop and parent[heads[i]] >= 0:
+            i += 1
+        if i == stop:
+            stack.pop()
+            continue
+        nxt[x] = i + 1
+        w = heads[i]
+        parent[w] = x
+        stack.append(w)
+    return tuple(parent)
+
+
 def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 

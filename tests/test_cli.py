@@ -299,6 +299,10 @@ def _one_error_line(argv, capsys) -> int:
     ("perturb", {"adds": [{"edge": ["prod", "tap", INF], "layer": 3}]}),
     ("bench", _with("bench_k2_desk.json", n=10_000_000)),
     ("bench", _with("bench_k2_desk.json", n=HUGE)),
+    # no draw at all: the parent printed a nan,nan,0 row and exited 0
+    ("bench-link-usage", _with("bench_link_usage_desk.json", max_resamples=0)),
+    # negative processing: the parent exited 2 only after the study ran
+    ("bench", _with("bench_k2_desk.json", xi_lo=-1)),
 ])
 def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -1,10 +1,11 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dagplace.errors import MaxResamplesExceeded
+from dagplace.errors import MaxResamplesExceeded, NegativeWeight
 from dagplace.harness import (
     ExperimentConfig,
     StatsTable,
@@ -14,16 +15,20 @@ from dagplace.harness import (
     random_layered_cg,
     random_network,
 )
-from dagplace.model import _components, build_network, check_tree, infer_layering
+from conftest import reference_components
+from dagplace.model import build_computation, build_network, check_tree, infer_layering
+
+NAN = float("nan")
 
 
 def reference_random_network(n, p_r, seed, weight_model="unit", *, max_resamples=200,
                              weight_range=(1, 5)):
-    """The list-of-pairs sampler that ``random_network`` replaced; it draws
-    the same generator stream."""
+    """(network, resamples) of the list-of-pairs sampler that
+    ``random_network`` replaced; it draws the same generator stream and
+    checks each draw with ``reference_components`` and ``build_network``."""
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(max_resamples):
+    for attempt in range(max_resamples):
         mask = rng.random(len(pairs)) < p_r
         chosen = [p for p, m in zip(pairs, mask) if m]
         if weight_model == "unit":
@@ -32,9 +37,17 @@ def reference_random_network(n, p_r, seed, weight_model="unit", *, max_resamples
             lo, hi = weight_range
             weights = [float(x) for x in rng.integers(lo, hi + 1, size=len(chosen))]
         edges = [(u, v, w) for (u, v), w in zip(chosen, weights)]
-        if len(_components(n, edges)) == 1:
-            return build_network(n, edges)
+        if len(reference_components(n, edges)) == 1:
+            return build_network(n, edges), attempt
     raise MaxResamplesExceeded("no connected sample")
+
+
+def _outcome(sample, *args, **kwargs):
+    """("edges", edges) of a sampled network, or ("raises", type, message)."""
+    try:
+        return "edges", sample(*args, **kwargs).edges
+    except Exception as exc:  # compared with the reference's, whatever it is
+        return "raises", type(exc), str(exc)
 
 
 class TestRandomNetwork:
@@ -43,12 +56,28 @@ class TestRandomNetwork:
     def test_same_networks_as_the_reference_sampler(self, p_r, weight_model, caplog):
         caplog.set_level(logging.DEBUG, logger="dagplace.harness")
         for seed in range(6):
+            caplog.clear()
             got = random_network(60, p_r, seed, weight_model)
-            assert got.edges == reference_random_network(60, p_r, seed, weight_model).edges
+            ref, resamples = reference_random_network(60, p_r, seed, weight_model)
+            assert got.edges == ref.edges
             assert all(type(x) is int for u, v, _ in got.edges for x in (u, v))
             assert all(type(w) is float for _, _, w in got.edges)
+            # the DEBUG line the benchmark counts, only after a resample
+            logged = re.findall(r"connected after (\d+) resamples", caplog.text)
+            assert logged == ([str(resamples)] if resamples else [])
         if p_r == 0.05:  # resample-heavy: most draws are disconnected
             assert "resamples" in caplog.text
+
+    @pytest.mark.parametrize("weight_range", [(-3, -1), (-1, 2), (NAN, 4), (1, NAN)])
+    def test_bad_weights_raise_as_build_network(self, weight_range):
+        # a negative weight is named by build_network; a NaN bound fails in the draw
+        for n, p_r, seed in [(12, 0.5, 0), (12, 0.5, 1), (30, 0.1, 2), (2, 1.0, 3)]:
+            got = _outcome(random_network, n, p_r, seed, "randint", weight_range=weight_range)
+            assert got[0] == "raises"
+            assert got == _outcome(lambda *a, **k: reference_random_network(*a, **k)[0],
+                                   n, p_r, seed, "randint", weight_range=weight_range)
+        with pytest.raises(NegativeWeight, match=r"edge \(0,1\) has negative weight -3.0"):
+            random_network(2, 1.0, 0, "randint", weight_range=(-3, -3))
 
     def test_complete_graph_at_p_one(self):
         net = random_network(7, 1.0, 0)
@@ -74,7 +103,50 @@ class TestRandomNetwork:
         assert all(2 <= w <= 4 and w == int(w) for _, _, w in net.edges)
 
 
+def reference_binary_tree_cg(p: int, n: int, seed, *, xi_lo=1, xi_hi=10):
+    """The per-call construction that ``random_binary_tree_cg`` replaced: the
+    heap shape rebuilt and checked by ``build_computation`` on every call."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    heap_children = {w: [c for c in (2 * w, 2 * w + 1) if c <= p] for w in range(1, p + 1)}
+    leaves = sorted(w for w, cs in heap_children.items() if not cs)
+    internal = sorted((w for w, cs in heap_children.items() if cs), reverse=True)
+    ident = {}
+    for i, w in enumerate(leaves):
+        ident[w] = i
+    for i, w in enumerate(internal[:-1]):
+        ident[w] = len(leaves) + i
+    ident[1] = p - 1  # root last
+    edges = [(ident[w], ident[w // 2], 1.0) for w in range(2, p + 1)]
+    proc = np.zeros((p, n))
+    for w in range(len(leaves), p):
+        proc[w, :] = float(rng.integers(xi_lo, xi_hi + 1))
+    return build_computation(
+        p, edges, sources=tuple(range(len(leaves))), sink=p - 1, processing=proc
+    )
+
+
 class TestRandomTree:
+    def test_same_trees_as_the_reference_construction(self):
+        # one generator feeds many calls, as in a link-usage trial
+        got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for p in [*range(3, 41), 16, 3, 40, 16]:
+            for n, xi in [(1, (1, 10)), (6, (0, 3)), (60, (2, 2))]:
+                got = random_binary_tree_cg(p, n, got_rng, xi_lo=xi[0], xi_hi=xi[1])
+                ref = reference_binary_tree_cg(p, n, ref_rng, xi_lo=xi[0], xi_hi=xi[1])
+                assert (got.p, got.edges, got.sources, got.sink) == \
+                    (ref.p, ref.edges, ref.sources, ref.sink)
+                assert got.topological_order() == ref.topological_order()
+                assert got.in_edges() == ref.in_edges()
+                assert (got.processing.shape, got.processing.dtype, got.processing.tobytes()) \
+                    == (ref.processing.shape, ref.processing.dtype, ref.processing.tobytes())
+                assert not got.processing.flags.writeable
+
+    @pytest.mark.parametrize("xi", [(-2, 5), (-4, -1)])
+    def test_negative_processing_is_rejected(self, xi):
+        with pytest.raises(NegativeWeight, match="processing table has negative entries"):
+            for seed in range(20):  # (-2, 5) draws a negative within a few trees
+                random_binary_tree_cg(15, 4, seed, xi_lo=xi[0], xi_hi=xi[1])
+
     def test_minimal(self):
         cg = random_binary_tree_cg(3, 4, 0)
         assert cg.k == 2 and cg.sink == 2 and check_tree(cg)

@@ -3,13 +3,15 @@ import heapq
 import itertools
 import warnings
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture
+from conftest import load_fixture, reference_components, reference_path_tree
+from dagplace import model
 from dagplace.errors import (
     CyclicGraph,
     DisconnectedGraph,
@@ -27,7 +29,7 @@ from dagplace.harness import (
     random_layered_cg,
     random_network,
 )
-from dagplace.metrics import Embedding, embedding_delay
+from dagplace.metrics import Embedding, embedding_delay, route_edges
 from dagplace.oracle import brute_force_min_cost, brute_force_min_delay
 from dagplace.solver_layered import min_cost_layered
 from dagplace.solver_tree import min_delay_collapse, min_delay_tree
@@ -39,6 +41,7 @@ from dagplace.model import (
     build_network,
     check_tree,
     extract_path,
+    extract_paths,
     infer_layering,
     validate_layering,
 )
@@ -199,6 +202,27 @@ class TestBuildNetwork:
         with pytest.raises(DisconnectedGraph) as exc:
             build_network(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert exc.value.components == ((0, 1), (2, 3))
+
+    def test_components_match_the_reference_search(self):
+        # the same components, in the same order, on sparse random graphs
+        rng = np.random.default_rng(13)
+        disconnected = 0
+        for _ in range(300):
+            n, p_r = int(rng.integers(1, 13)), rng.choice((0.05, 0.15, 0.4))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p_r]
+            edges = [(u, v, 1.0) for u, v in pairs]
+            ref = [sorted(c) for c in reference_components(n, edges)]
+            ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+            assert list(model._components(n, ends[:, 0], ends[:, 1])) == ref
+            if len(ref) > 1:
+                disconnected += 1
+                with pytest.raises(DisconnectedGraph) as exc:
+                    build_network(n, edges[::-1])
+                assert exc.value.components == tuple(map(tuple, ref))
+                assert str(exc.value).endswith(", ".join(map(str, ref)))
+            else:
+                assert build_network(n, edges[::-1]).edges == tuple(edges)
+        assert disconnected > 100
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
@@ -426,6 +450,77 @@ class TestZeroWeightTies:
                 path = extract_path(dm, u, v)
                 assert path_weight(net, path) == dm.dist[u, v]
                 assert path == rule_path(net, dm.dist, u, v)
+
+
+@st.composite
+def route_networks(draw):
+    """Connected networks of 2-14 nodes, sparse (a random spanning tree plus
+    a few links) or dense (every pair but a few), with weights k/den for k in
+    0..hi: with hi = 1 about half the links weigh nothing."""
+    n = draw(st.integers(2, 14))
+    den = draw(st.sampled_from((1, 10, 3, 7)))
+    hi = draw(st.sampled_from((1, 3, 9)))
+    pairs = set(itertools.combinations(range(n), 2))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    few = draw(st.sets(st.sampled_from(sorted(pairs))))
+    links = sorted(tree | (pairs - few if draw(st.booleans()) else few))
+    ks = draw(st.lists(st.integers(0, hi), min_size=len(links), max_size=len(links)))
+    return build_network(n, [(u, v, k / den) for (u, v), k in zip(links, ks)])
+
+
+@st.composite
+def embeddings(draw):
+    """(computation DAG, network, embedding): 2-10 vertices, each fed by an
+    earlier one, plus further forward edges, in any order; every vertex on
+    any node, so the routed pairs cover source rows in any order and number."""
+    net = draw(route_networks())
+    p = draw(st.integers(2, 10))
+    edges = {(draw(st.integers(0, b - 1)), b) for b in range(1, p)}
+    edges |= draw(st.sets(st.sampled_from(list(itertools.combinations(range(p), 2)))))
+    edges = draw(st.permutations(sorted(edges)))
+    cg = build_computation(p, [(a, b, 1.0) for a, b in edges], (0,), p - 1, np.zeros((p, net.n)))
+    images = draw(st.lists(st.integers(0, net.n - 1), min_size=p, max_size=p))
+    return cg, net, Embedding(tuple(images))
+
+
+def _walk(parents, u: int, v: int) -> list[int]:
+    path = [v]
+    while path[-1] != u:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
+class TestRouteTrees:
+    """``route_edges`` builds the source rows of all its pairs in one numpy
+    pass; every row must equal ``reference_path_tree``, which builds one row
+    at a time over the dense link matrix."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(embeddings(), st.sampled_from((1 << 18, 1, 7)))
+    def test_property_batched_routes_equal_the_per_row_reference(self, inst, cells):
+        cg, net, e = inst
+        dm = apsp(net)
+        with mock.patch.object(model, "_TREE_CELLS", cells):  # 1 and 7 split the pass
+            routes = route_edges(cg, dm, e)
+        ref = {}
+        for (a, b, _), path in zip(cg.edges, routes):
+            u = e[a]
+            tree = ref.setdefault(u, reference_path_tree(dm.dist[u], dm.weight, u))
+            assert path == _walk(tree, u, e[b])
+        for u, tree in ref.items():  # cached by the batched pass
+            assert dm.parents(u) == tree
+
+    def test_differential_networks_row_by_row_and_batched(self):
+        # every row of every network, batched, and one at a time
+        for net in differential_networks():
+            batched, single = apsp(net), apsp(net)
+            pairs = [(u, v) for u in range(net.n) for v in range(net.n)]
+            paths = extract_paths(batched, pairs)
+            for (u, v), path in zip(pairs, paths):
+                assert path == extract_path(single, u, v)
+            for u in range(net.n):
+                tree = reference_path_tree(batched.dist[u], batched.weight, u)
+                assert batched.parents(u) == single.parents(u) == tree
 
 
 class TestLayering:

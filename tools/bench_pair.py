@@ -16,7 +16,12 @@ from ``change/``, a copy of this working tree's ``src/``, ``perfbench/``,
 first run.  So the two sides differ only in their files, not in where they
 lie, and edits to the working tree during a run do not reach it.  The side
 that runs first alternates from one pair to the next, so a slow stretch of a
-shared host does not land on one side only.
+shared host does not land on one side only.  Both checkouts sit in one
+directory that is renamed before each pair, to a name of 1 to 16 characters
+that grows by one from pair to pair: the length of a checkout's path moves a
+run's memory layout, which can shift a workload's times by several percent,
+so each side meets the same spread of lengths and both sides of a pair meet
+the same one.  Each run records that length as ``path_len``.
 
 The output holds each run's end-to-end metrics and correctness, and per
 workload the quartiles of each metric on both sides, whether every run of a
@@ -136,19 +141,21 @@ def main(argv=None) -> int:
     result = {"tag": args.tag, "parent": parent_rev, "change": "working tree",
               "seconds": seconds, "seeds": args.seeds, "host": host(), "workloads": {}}
     try:
-        sides = {"parent": tmp / "parent", "change": tmp / "change"}
-        unpack(parent_rev, sides["parent"])
-        copy_tree(sides["change"])
+        home = tmp / "d"
+        unpack(parent_rev, home / "parent")
+        copy_tree(home / "change")
         pair = 0
         bad = []
         for wl in args.workloads:
             runs = []
             for seed in args.seeds:
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                home = home.rename(tmp / ("d" * (1 + pair % 16)))
                 pair += 1
-                run = {"seed": seed, "first": order[0]}
+                run = {"seed": seed, "first": order[0],
+                       "path_len": len(str(home / "parent"))}  # "change" is as long
                 for side in order:
-                    run[side] = run_once(sides[side], wl, seed, seconds)
+                    run[side] = run_once(home / side, wl, seed, seconds)
                 runs.append(run)
                 ratios = {m: run["change"]["metrics"][m] / run["parent"]["metrics"][m]
                           for m in run["parent"]["metrics"] if run["parent"]["metrics"][m]}
