@@ -436,49 +436,44 @@ def _write_json(path, doc) -> None:
 # subcommands
 
 
+def _delay(emb, report):
+    return emb, report.total, None
+
+
+# (method, objective) -> solver of (cg, net, dm, td, budget) giving (embedding,
+# value, layered state or None); each looks its solver up by name when called
+_SOLVERS = {
+    ("tree", "mindelay"):
+        lambda cg, net, dm, td, budget: _delay(*min_delay_tree(cg, net, dm)),
+    ("layered", "mincost"):
+        lambda cg, net, dm, td, budget: min_cost_layered(
+            cg, infer_layering(cg), net, dm, budget=budget),
+    ("treewidth", "mincost"):
+        lambda cg, net, dm, td, budget: (*min_cost_treewidth(
+            cg, td or min_fill_decomposition(cg), net, dm, budget=budget), None),
+    ("collapse", "mindelay"):
+        lambda cg, net, dm, td, budget: _delay(*min_delay_collapse(cg, net, dm)),
+    ("oracle", "mincost"):
+        lambda cg, net, dm, td, budget: (*brute_force_min_cost(cg, net, dm, budget=budget), None),
+    ("oracle", "mindelay"):
+        lambda cg, net, dm, td, budget: _delay(*brute_force_min_delay(cg, net, dm, budget=budget)),
+}
+
+
 def _cmd_solve(args) -> int:
     ndoc = load_network(args.network)
     cdoc = load_computation(args.computation, ndoc.net.n)
     _check_sources(ndoc, cdoc)
-    cg, net = cdoc.cg, ndoc.net
     method, objective = args.method, args.objective
-    ok_pairs = {
-        ("tree", "mindelay"), ("collapse", "mindelay"),
-        ("layered", "mincost"), ("treewidth", "mincost"),
-        ("oracle", "mincost"), ("oracle", "mindelay"),
-    }
-    if (method, objective) not in ok_pairs:
+    solve = _SOLVERS.get((method, objective))
+    if solve is None:
         raise PreconditionError(f"method {method!r} does not solve {objective!r}")
     td = (load_decomposition(load_json(args.decomposition), cdoc)
           if method == "treewidth" and args.decomposition else None)
     if args.state_out is not None and method != "layered":
         raise PreconditionError("--state-out requires --method layered")
-    dm = apsp(net)
-    budget = args.budget
-
-    if method == "tree":
-        emb, report = min_delay_tree(cg, net, dm)
-        value, key = report.total, "delay"
-    elif method == "collapse":
-        emb, report = min_delay_collapse(cg, net, dm)
-        value, key = report.total, "delay"
-    elif method == "layered":
-        ls = infer_layering(cg)
-        emb, value, state = min_cost_layered(cg, ls, net, dm, budget=budget)
-        key = "cost"
-    elif method == "treewidth":
-        if td is None:
-            td = min_fill_decomposition(cg)
-        emb, value = min_cost_treewidth(cg, td, net, dm, budget=budget)
-        key = "cost"
-    else:
-        if objective == "mincost":
-            emb, value = brute_force_min_cost(cg, net, dm, budget=budget)
-            key = "cost"
-        else:
-            emb, report = brute_force_min_delay(cg, net, dm, budget=budget)
-            value, key = report.total, "delay"
-
+    emb, value, state = solve(cdoc.cg, ndoc.net, apsp(ndoc.net), td, args.budget)
+    key = "cost" if objective == "mincost" else "delay"
     out = embedding_to_json(emb, cdoc, ndoc, objective=objective, method=method,
                             **{key: value})
     _write_json(args.out, out)
@@ -491,6 +486,7 @@ def _cmd_solve(args) -> int:
 def _cmd_eval(args) -> int:
     ndoc = load_network(args.network)
     cdoc = load_computation(args.computation, ndoc.net.n)
+    _check_sources(ndoc, cdoc)
     emb = load_embedding(load_json(args.embedding), cdoc, ndoc)
     dm = apsp(ndoc.net)
     cg = cdoc.cg
@@ -594,8 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute an optimal embedding")
     p.add_argument("--objective", required=True, choices=["mincost", "mindelay"])
-    p.add_argument("--method", required=True,
-                   choices=["tree", "layered", "treewidth", "collapse", "oracle"])
+    p.add_argument("--method", required=True, choices=list(dict.fromkeys(m for m, _ in _SOLVERS)))
     p.add_argument("--network", required=True)
     p.add_argument("--computation", required=True)
     p.add_argument("--decomposition", default=None)

@@ -132,23 +132,6 @@ def random_network(
     )
 
 
-def random_connected_network(n, seed, *, extra_edge_p=0.3, weight_range=(0, 5)) -> NetworkGraph:
-    """Random spanning tree plus extra edges; integer weights, test-sized."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    lo, hi = weight_range
-    edges = []
-    present = set()
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        edges.append((u, v, float(rng.integers(lo, hi + 1))))
-        present.add((u, v))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in present and rng.random() < extra_edge_p:
-                edges.append((u, v, float(rng.integers(lo, hi + 1))))
-    return build_network(n, edges)
-
-
 @functools.lru_cache(maxsize=64)
 def _binary_tree(p: int) -> ComputationGraph:
     """The checked heap-shaped in-tree of ``random_binary_tree_cg``, with a

@@ -84,16 +84,14 @@ def embedding_delay(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> D
 
     Completion of a vertex is the max over its predecessors of their completion
     plus the edge's transmission time, plus the vertex's own processing time.
-    Sources complete at time zero.
+    A vertex without predecessors starts at time zero, so a source, which has
+    none and a zero processing row (``build_computation``), completes at zero.
     """
     order = cg.topological_order()
     ine = cg.in_edges()
     d = dm.dist
     done = [0.0] * cg.p
-    src = set(cg.sources)
     for w in order:
-        if w in src:
-            continue
         arrive = 0.0
         for a, lam in ine[w]:
             arrive = max(arrive, done[a] + lam * d[e.assignment[a], e.assignment[w]])
@@ -133,9 +131,10 @@ def capacity_aware_delay(
     Each computation edge is routed along its shortest path and crosses its
     links in turn, queueing at a busy link.  By default the two directions of
     a link share one queue; ``per_direction`` gives each direction its own.
-    Sources fire at time zero and a non-source without inputs at its
-    processing time; any other vertex fires once the data of all its
-    incoming edges has fully arrived, after its processing time.
+    A vertex without inputs fires at its processing time, so a source, whose
+    processing row is zero (``build_computation``), fires at time zero; any
+    other vertex fires once the data of all its incoming edges has fully
+    arrived, after its processing time.
 
     Ties follow one exact rule.  Events run in (time, finishes before
     arrivals, link, edge) order, so a link freed at time t takes an edge that
@@ -177,9 +176,8 @@ def capacity_aware_delay(
             fire(head, latest[head] + cg.processing[head, e.assignment[head]])
 
     # taken before any firing: deliveries fire every other vertex
-    src = set(cg.sources)
     for w in [w for w in cg.topological_order() if pending[w] == 0]:
-        fire(w, 0.0 if w in src else cg.processing[w, e.assignment[w]])
+        fire(w, cg.processing[w, e.assignment[w]])
 
     while events:
         t, kind, key, idx = heapq.heappop(events)

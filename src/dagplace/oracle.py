@@ -92,14 +92,11 @@ def brute_force_min_delay(
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[Embedding, DelayReport]:
     d = dm.dist
-    src = set(cg.sources)
 
     def delay(asg):
         ine = cg.in_edges()
         done: list = [0.0] * cg.p
         for w in cg.topological_order():
-            if w in src:
-                continue
             arrive = np.zeros(asg.shape[1])
             for a, lam in ine[w]:
                 np.maximum(arrive, done[a] + lam * d[asg[a], asg[w]], out=arrive)

@@ -213,15 +213,6 @@ def _message(table: np.ndarray, free: list[int], parent_bag, n: int) -> tuple[np
     return t.min(axis=1).reshape(shape), t.argmin(axis=1).reshape(shape)
 
 
-def _spread(m: np.ndarray, axes: list[int], f: int) -> np.ndarray:
-    """View of ``m`` with its axes at positions ``axes`` (increasing) of f
-    axes; the other axes have length 1."""
-    shape = [1] * f
-    for i in axes:
-        shape[i] = m.shape[0]
-    return m.reshape(shape)
-
-
 def _solve_bags(cg, td, pinned, dm, budget, known):
     """Bag-table dynamic program over ``td``: (embedding, cost, messages).
 
@@ -232,12 +223,21 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
     increasing id order.  It starts as +0.0 with every axis of length 1 and
     adds, by broadcasting, the processing of the bag's home vertices, then
     ``lam * d`` of its home edges in ``cg.edges`` order, then its children's
-    messages.  An axis grows to length n with the first term that spans it,
-    and once every axis has, the remaining terms are added in place; an axis
-    that no term spans is broadcast to length n at the end.  So each cell
-    receives the same additions in the same order as in a table filled at
-    full width from the start.  ``budget`` bounds the cells of the largest
-    full-width table.
+    messages.  Every term is taken the same way, as a view of its processing
+    row, distance matrix or message indexed per vertex by ``index``: a free
+    vertex keeps its whole axis, which is laid at its axis of the table, and
+    a pinned vertex takes its node, as an observed variable restricts a
+    factor in bucket elimination.  An axis grows to length n with the first
+    term that spans it, and once every axis has, the remaining terms are
+    added in place; an axis that no term spans is broadcast to length n at
+    the end.  So each cell receives the same additions in the same order as
+    in a table filled at full width from the start.  ``budget`` bounds the
+    cells of the largest full-width table.
+
+    Every bag, the root too, reduces its table by ``_message`` over its home
+    vertices.  The root has no separator, so its message is the 0-d minimum,
+    the cost, and its argmin.  The backtrack then takes each bag's home
+    vertices from its argmin at its separator's nodes, parents first.
 
     Each bag is keyed, children first, by a plain tuple of all that its
     message reads besides ``dm``: its vertices, the images of its pinned
@@ -256,6 +256,17 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
     free = [[w for w in bag if w not in pinned] for bag in td.bags]
     if (cells := max(n ** len(f) for f in free)) > budget:
         raise BudgetExceeded(f"bag table of {cells} cells exceeds the budget of {budget}")
+    index = [pinned.get(w, slice(None)) for w in range(cg.p)]
+
+    def term(arr, ws):
+        # ``arr`` has one axis per vertex of ``ws``; ``axis`` and ``f`` are the
+        # current bag's.  Only an edge from a higher id comes out of id order.
+        t = arr[tuple(map(index.__getitem__, ws))]
+        shape = [1] * f
+        for w in ws:
+            if w in axis:
+                shape[axis[w]] = n
+        return (t.T if t.ndim == 2 and ws[0] > ws[1] else t).reshape(shape)
 
     keys: dict[int, tuple] = {}
     messages: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -272,57 +283,37 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
             tuple(home_edges[b]),
             tuple(map(keys.__getitem__, children[b])),
         )
-        hit = known.get(key) if known and b != root else None
-        if hit is not None:
-            sent[b] = messages[key] = hit
-            continue
-        fb = free[b]
-        f = len(fb)
-        axis = {w: i for i, w in enumerate(fb)}
-        # each term as a view of its processing row or distance matrix, with
-        # a free vertex's nodes along its axis and a pinned vertex at its node
-        terms = []
-        for w in home_vertices[b]:
-            terms.append(_spread(proc[w], [axis[w]], f) if w in axis else proc[w, pinned[w]])
-        for a, c, lam in home_edges[b]:
-            if a in axis and c in axis:
-                i, j = axis[a], axis[c]
-                terms.append(lam * _spread(d if i < j else d.T, sorted((i, j)), f))
-            elif a in axis:
-                terms.append(lam * _spread(d[:, pinned[c]], [axis[a]], f))
-            elif c in axis:
-                terms.append(lam * _spread(d[pinned[a]], [axis[c]], f))
-            else:
-                terms.append(lam * d[pinned[a], pinned[c]])
-        for ch in children[b]:
-            terms.append(_spread(sent[ch][0], [axis[w] for w in free[ch] if w in axis], f))
-        full = (n,) * f
-        table = np.zeros((1,) * f)
-        for term in terms:
-            if table.shape == full:
-                table += term
-            else:
-                table = np.add(table, term, order="C")
-        # an axis no term spans still has length 1: broadcast it to n
-        table = table if table.shape == full else np.broadcast_to(table, full)
+        sent[b] = known.get(key) if known and b != root else None
+        if sent[b] is None:
+            fb = free[b]
+            f = len(fb)
+            axis = {w: i for i, w in enumerate(fb)}
+            terms = [term(proc[w], (w,)) for w in home_vertices[b]]
+            terms += [lam * term(d, (a, c)) for a, c, lam in home_edges[b]]
+            terms += [term(sent[ch][0], [w for w in free[ch] if w in axis]) for ch in children[b]]
+            full = (n,) * f
+            table = np.zeros((1,) * f)
+            for t in terms:
+                if table.shape == full:
+                    table += t
+                else:
+                    table = np.add(table, t, order="C")
+            # an axis no term spans still has length 1: broadcast it to n
+            table = table if table.shape == full else np.broadcast_to(table, full)
+            sent[b] = _message(table, fb, sep, n)
         if b != root:
-            sent[b] = messages[key] = _message(table, fb, sep, n)
+            messages[key] = sent[b]
 
-    # the root comes last, so ``table`` is its table
-    top = np.unravel_index(int(table.argmin()), table.shape)
     assignment = [0] * cg.p
     for w, v in pinned.items():
         assignment[w] = v
-    for w, v in zip(free[root], top):
-        assignment[w] = int(v)
     for b in children:
-        for ch in children[b]:
-            sep = [w for w in free[ch] if w in td.bags[b]]
-            rest = [w for w in free[ch] if w not in td.bags[b]]
-            pick = int(sent[ch][1][tuple(assignment[w] for w in sep)])
-            for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
-                assignment[w] = int(v)
-    return Embedding(tuple(assignment)), float(table[top]), messages
+        sep = [w for w in free[b] if w not in home_vertices[b]]
+        rest = [w for w in free[b] if w in home_vertices[b]]
+        pick = int(sent[b][1][tuple(assignment[w] for w in sep)])
+        for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
+            assignment[w] = int(v)
+    return Embedding(tuple(assignment)), float(sent[root][0]), messages
 
 
 def min_cost_treewidth(

@@ -14,7 +14,7 @@ from dagplace.cli import (
 )
 from dagplace.errors import BudgetExceeded
 from dagplace.metrics import Embedding, embedding_cost, embedding_delay
-from dagplace.model import build_computation, pinned_images
+from dagplace.model import build_computation, build_network, pinned_images
 from dagplace.solver_treewidth import _rooted
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -124,6 +124,23 @@ def _silence_off_path_warnings():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="vertices .* lie on no source-to-sink path")
         yield
+
+
+def random_connected_network(n, seed, *, extra_edge_p=0.3, weight_range=(0, 5)):
+    """Random spanning tree plus extra edges; integer weights, test-sized."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    lo, hi = weight_range
+    edges = []
+    present = set()
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        edges.append((u, v, float(rng.integers(lo, hi + 1))))
+        present.add((u, v))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in present and rng.random() < extra_edge_p:
+                edges.append((u, v, float(rng.integers(lo, hi + 1))))
+    return build_network(n, edges)
 
 
 def random_tree_cg(rng: np.random.Generator, p: int, n: int, *, lam_hi=3, xi_hi=3):

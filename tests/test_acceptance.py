@@ -14,6 +14,7 @@ from conftest import (
     load_embedding_fixture,
     load_fixture,
     place_roles,
+    random_connected_network,
     random_dag_cg,
     random_embedding,
     random_tree_cg,
@@ -22,7 +23,6 @@ from dagplace.harness import (
     ExperimentConfig,
     experiment_k2_gap,
     experiment_link_usage,
-    random_connected_network,
     random_layered_cg,
 )
 from dagplace.metrics import (

@@ -612,12 +612,16 @@ def test_matrix_with_a_non_zero_source_row_exits_2(command, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: processing of a source must be zero\n")
 
 
-def test_network_and_computation_need_the_same_source_count(tmp_path):
+def test_network_and_computation_need_the_same_source_count(tmp_path, capsys):
     # fanin has four sources, the prodsum network three
     mismatched = ["--network", fx("prodsum_net.json"), "--computation", fx("fanin_cg.json")]
-    assert main(["validate", *mismatched]) == 2
-    assert main(["solve", "--objective", "mindelay", "--method", "tree", *mismatched,
-                 "--out", str(tmp_path / "o.json")]) == 2
+    for argv in (
+        ["validate"],
+        ["solve", "--objective", "mindelay", "--method", "tree", "--out", str(tmp_path / "o.json")],
+        ["eval", "--metric", "delay", "--embedding", fx("fanin_emb.json")],
+    ):
+        assert main([*argv, *mismatched]) == 2
+        assert capsys.readouterr().err == "error: network has 3 sources, computation 4\n"
 
 
 def test_eval_to_stdout(capsys):

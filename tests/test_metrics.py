@@ -5,6 +5,7 @@ from conftest import (
     load_embedding_fixture,
     load_fixture,
     place_roles,
+    random_connected_network,
     random_embedding,
     random_tree_cg,
 )
@@ -18,7 +19,6 @@ from dagplace.metrics import (
     validate_embedding,
 )
 from dagplace.model import apsp, build_computation, build_network
-from dagplace.harness import random_connected_network
 
 
 E_DELAY = load_embedding_fixture("prodsum", "emb_delay")  # the minimum-delay embedding

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture, reference_components, reference_path_tree
+from conftest import (
+    load_fixture,
+    random_connected_network,
+    reference_components,
+    reference_path_tree,
+)
 from dagplace import model
 from dagplace.errors import (
     CyclicGraph,
@@ -25,7 +30,6 @@ from dagplace.errors import (
 )
 from dagplace.harness import (
     random_binary_tree_cg,
-    random_connected_network,
     random_layered_cg,
     random_network,
 )

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture, place_roles, random_tree_cg, reference_brute_force
+from conftest import (
+    load_fixture,
+    place_roles,
+    random_connected_network,
+    random_tree_cg,
+    reference_brute_force,
+)
 from dagplace.errors import BudgetExceeded, CyclicGraph
-from dagplace.harness import random_connected_network
 from dagplace.metrics import embedding_delay
 from dagplace.model import apsp, build_computation, build_network
 from dagplace.oracle import (

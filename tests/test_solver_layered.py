@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_fixture, place_roles
+from conftest import load_fixture, place_roles, random_connected_network
 from dagplace.errors import BudgetExceeded, DanglingEdit, ValidationError, WidthExceeded
-from dagplace.harness import random_connected_network, random_layered_cg
+from dagplace.harness import random_layered_cg
 from dagplace.metrics import embedding_cost
 from dagplace.model import (
     LayeredStructure,

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture, place_roles, random_tree_cg
+from conftest import load_fixture, place_roles, random_connected_network, random_tree_cg
 import dagplace.solver_tree
 from dagplace.errors import NotATree, PreconditionViolated
-from dagplace.harness import random_connected_network
 from dagplace.metrics import embedding_delay
 from dagplace.model import apsp, build_computation, build_network
 from dagplace.oracle import brute_force_min_delay

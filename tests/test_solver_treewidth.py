@@ -10,13 +10,14 @@ from conftest import (
     load_decomposition_fixture,
     load_fixture,
     place_roles,
+    random_connected_network,
     random_tree_cg,
     reference_brute_force,
     reference_min_fill,
     reference_solve_bags,
 )
 from dagplace.errors import BudgetExceeded, InvalidDecomposition
-from dagplace.harness import random_connected_network, random_layered_cg
+from dagplace.harness import random_layered_cg
 from dagplace.metrics import embedding_cost
 from dagplace.model import (
     LayeredStructure,

@@ -23,7 +23,8 @@ run's memory layout, which can shift a workload's times by several percent,
 so each side meets the same spread of lengths and both sides of a pair meet
 the same one.  Each run records that length as ``path_len``.
 
-The output holds each run's end-to-end metrics and correctness, and per
+The output holds the line count of each side's ``src/dagplace/*.py`` and
+their difference, each run's end-to-end metrics and correctness, and per
 workload the quartiles of each metric on both sides, whether every run of a
 side was correct and how many jobs its runs failed in all, the ratio
 change/parent of the medians (below 1 is better: every metric is
@@ -79,6 +80,11 @@ def copy_tree(dest: Path) -> None:
     for name in ("src", "perfbench", "fixtures"):
         shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy2(ROOT / "BENCHMARK.json", dest)
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/dagplace/*.py`` in ``checkout``, counted as ``wc -l`` does."""
+    return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "dagplace").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -144,6 +150,8 @@ def main(argv=None) -> int:
         home = tmp / "d"
         unpack(parent_rev, home / "parent")
         copy_tree(home / "change")
+        lines = {side: src_lines(home / side) for side in ("parent", "change")}
+        result["src_lines"] = {**lines, "change_minus_parent": lines["change"] - lines["parent"]}
         pair = 0
         bad = []
         for wl in args.workloads:
