@@ -468,8 +468,9 @@ def _cmd_solve(args) -> int:
     solve = _SOLVERS.get((method, objective))
     if solve is None:
         raise PreconditionError(f"method {method!r} does not solve {objective!r}")
-    td = (load_decomposition(load_json(args.decomposition), cdoc)
-          if method == "treewidth" and args.decomposition else None)
+    if args.decomposition and method != "treewidth":
+        raise ValidationError("--decomposition requires --method treewidth")
+    td = load_decomposition(load_json(args.decomposition), cdoc) if args.decomposition else None
     if args.state_out is not None and method != "layered":
         raise PreconditionError("--state-out requires --method layered")
     emb, value, state = solve(cdoc.cg, ndoc.net, apsp(ndoc.net), td, args.budget)

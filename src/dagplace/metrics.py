@@ -13,8 +13,17 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
-from .model import ComputationGraph, DistanceMatrix, NetworkGraph, extract_paths, pinned_images
+from .model import (
+    ComputationGraph,
+    DistanceMatrix,
+    NetworkGraph,
+    crossed_links,
+    extract_paths,
+    pinned_images,
+)
 
 
 @dataclass(frozen=True)
@@ -107,12 +116,10 @@ def route_edges(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding):
 
 def max_link_usage(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> int:
     """Largest number of computation edges whose routed path crosses one link."""
-    count: dict[tuple[int, int], int] = {}
-    for path in route_edges(cg, dm, e):
-        for a, b in zip(path, path[1:]):
-            key = (min(a, b), max(a, b))
-            count[key] = count.get(key, 0) + 1
-    return max(count.values(), default=0)
+    asg = e.assignment
+    tails, heads = crossed_links(dm, [(asg[a], asg[b]) for a, b, _ in cg.edges])
+    keys = np.minimum(tails, heads) * dm.n + np.maximum(tails, heads)
+    return int(np.bincount(keys, minlength=1).max())
 
 
 _FINISH, _ARRIVE = 0, 1

@@ -153,7 +153,8 @@ class DistanceMatrix:
     chosen path need not have the fewest hops of all shortest paths.
     Each source's choices are built on its first request and cached; the
     sources that one ``extract_paths`` call needs are built together, in one
-    numpy pass over the directed links (derived once, on first use).
+    numpy pass over the directed links (derived once, on first use).  On an
+    exact network (``_exact``) ``extract_paths`` walks the paths greedily.
     Equality and hashing are by identity, as for ``ComputationGraph``.
     """
 
@@ -170,6 +171,14 @@ class DistanceMatrix:
         """Tails, heads and weights of the directed links, in (tail, head) order."""
         tails, heads = np.nonzero(self.weight < np.inf)
         return tails, heads, self.weight[tails, heads]
+
+    @functools.cached_property
+    def _exact(self) -> bool:
+        """Whether every link weight is a positive integer and every distance
+        is below 2**53, so that path sums are exact: ``extract_paths`` then
+        walks the chosen paths greedily instead of building route trees."""
+        w = self._links[2]
+        return bool((w > 0).all() and (w == np.floor(w)).all() and (self.dist < 2.0**53).all())
 
     def parents(self, u: int) -> tuple[int, ...]:
         """``parents(u)[v]`` precedes v on the chosen u->v path (u for v == u,
@@ -489,10 +498,34 @@ def _dfs(u: int, head: list, nxt: list, end: list) -> tuple[int, ...]:
     return tuple(parent)
 
 
+def _greedy_walk(dm: DistanceMatrix, pairs) -> np.ndarray:
+    """Walk the chosen u->v paths of ``pairs`` on an exact network, all pairs
+    in lock step: row k holds each pair's node after k hops, and a pair stays
+    at v once there.  With exact sums the chosen path is the lexicographically
+    smallest shortest path, so from x it steps to the smallest y with
+    ``weight[x, y] + dist[y, v] == dist[x, v]``."""
+    uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    x, v = uv[:, 0].copy(), uv[:, 1]
+    walk = [uv[:, 0]]
+    live = np.flatnonzero(x != v)
+    while live.size:
+        xl, vl = x[live], v[live]
+        x[live] = (dm.weight[xl] + dm.dist[:, vl].T == dm.dist[xl, vl][:, None]).argmax(axis=1)
+        walk.append(x.copy())
+        live = live[x[live] != vl]
+    return np.array(walk)
+
+
 def extract_paths(dm: DistanceMatrix, pairs) -> list[list[int]]:
     """Node sequences of the chosen shortest u->v paths of ``pairs``, in
-    order; [u] when u == v.  The source rows they need are built together."""
+    order; [u] when u == v.  On an exact network (``DistanceMatrix._exact``)
+    they are walked greedily, otherwise the source rows they need are built
+    together."""
     pairs = list(pairs)
+    if dm._exact:
+        walk = _greedy_walk(dm, pairs)
+        hops = (walk[1:] != walk[:-1]).sum(axis=0).tolist()
+        return [col[:h + 1] for col, h in zip(walk.T.tolist(), hops)]
     _build_trees(dm, [u for u, v in pairs if u != v])
     out = []
     for u, v in pairs:
@@ -508,6 +541,19 @@ def extract_paths(dm: DistanceMatrix, pairs) -> list[list[int]]:
             path.reverse()
         out.append(path)
     return out
+
+
+def crossed_links(dm: DistanceMatrix, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the links that the chosen paths of ``pairs`` cross,
+    once per crossing; on an exact network without building the paths."""
+    pairs = list(pairs)
+    if dm._exact:
+        walk = _greedy_walk(dm, pairs)
+        moved = walk[1:] != walk[:-1]
+        return walk[:-1][moved], walk[1:][moved]
+    paths = extract_paths(dm, pairs)
+    return (np.array([x for p in paths for x in p[:-1]], dtype=np.intp),
+            np.array([y for p in paths for y in p[1:]], dtype=np.intp))
 
 
 def extract_path(dm: DistanceMatrix, u: int, v: int) -> list[int]:

@@ -1,0 +1,27 @@
+"""``tools/bench_pair.summarize`` on runs whose quartiles are known."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import bench_pair  # noqa: E402
+
+
+def side(**metrics):
+    return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+
+def test_summary_resolves_a_gap_only_beyond_the_parent_iqr():
+    # the parent reads 8..12 on every metric: quartiles 8.5, 10, 11.5
+    runs = [{"seed": s, "parent": side(wall_s=x, setup_s=x, calls=0),
+             "change": side(wall_s=x - 4, setup_s=x + 3, calls=0)}
+            for s, x in zip(range(101, 106), (8, 9, 10, 11, 12))]
+    summary = bench_pair.summarize(runs)
+    assert summary["parent"]["wall_s"] == {"q1": 8.5, "median": 10, "q3": 11.5}
+    assert summary["parent_spread"] == {"wall_s": 0.3, "setup_s": 0.3, "calls": None}
+    # a gap of 4 exceeds the IQR of 3; a gap of exactly 3 does not
+    assert summary["resolved"] == {"wall_s": True, "setup_s": False, "calls": False}
+    assert summary["ratio"] == {"wall_s": 0.6, "setup_s": 1.3, "calls": None}
+    assert summary["change_wins"] == {"wall_s": 5, "setup_s": 0, "calls": 0}
+    assert summary["pairs"] == 5

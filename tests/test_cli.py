@@ -182,6 +182,15 @@ def test_state_out_is_refused_before_the_solve(tmp_path, capsys):
     assert main([str(bad) if a.endswith("fanin_net.json") else a for a in argv]) == 2
 
 
+def test_decomposition_is_refused_without_treewidth(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    assert main(["solve", "--objective", "mincost", "--method", "layered", "--network",
+                 fx("prodsum_net.json"), "--computation", fx("prodsum_cg.json"),
+                 "--decomposition", "/nonexistent/td.json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --decomposition requires --method treewidth\n"
+    assert not out.exists()
+
+
 # name -> (bundled document, a command line that reads it); BAD stands for the
 # document under test, other *.json words for bundled files, STATE for the
 # state file of a layered solve of prodsum and OUT for an output file

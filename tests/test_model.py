@@ -2,7 +2,7 @@ import dataclasses
 import heapq
 import itertools
 import warnings
-from collections import deque
+from collections import Counter, deque
 from unittest import mock
 
 import numpy as np
@@ -33,12 +33,13 @@ from dagplace.harness import (
     random_layered_cg,
     random_network,
 )
-from dagplace.metrics import Embedding, embedding_delay, route_edges
+from dagplace.metrics import Embedding, embedding_delay, max_link_usage, route_edges
 from dagplace.oracle import brute_force_min_cost, brute_force_min_delay
 from dagplace.solver_layered import min_cost_layered
 from dagplace.solver_tree import min_delay_collapse, min_delay_tree
 from dagplace.solver_treewidth import min_cost_treewidth, min_fill_decomposition
 from dagplace.model import (
+    DistanceMatrix,
     NetworkGraph,
     apsp,
     build_computation,
@@ -457,27 +458,28 @@ class TestZeroWeightTies:
 
 
 @st.composite
-def route_networks(draw):
+def route_networks(draw, exact=False):
     """Connected networks of 2-14 nodes, sparse (a random spanning tree plus
     a few links) or dense (every pair but a few), with weights k/den for k in
-    0..hi: with hi = 1 about half the links weigh nothing."""
+    0..hi: with hi = 1 about half the links weigh nothing.  ``exact`` draws
+    den = 1 and k in 1..hi, so every weight is a positive integer."""
     n = draw(st.integers(2, 14))
-    den = draw(st.sampled_from((1, 10, 3, 7)))
+    den = 1 if exact else draw(st.sampled_from((1, 10, 3, 7)))
     hi = draw(st.sampled_from((1, 3, 9)))
     pairs = set(itertools.combinations(range(n), 2))
     tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     few = draw(st.sets(st.sampled_from(sorted(pairs))))
     links = sorted(tree | (pairs - few if draw(st.booleans()) else few))
-    ks = draw(st.lists(st.integers(0, hi), min_size=len(links), max_size=len(links)))
+    ks = draw(st.lists(st.integers(int(exact), hi), min_size=len(links), max_size=len(links)))
     return build_network(n, [(u, v, k / den) for (u, v), k in zip(links, ks)])
 
 
 @st.composite
-def embeddings(draw):
+def embeddings(draw, exact=False):
     """(computation DAG, network, embedding): 2-10 vertices, each fed by an
     earlier one, plus further forward edges, in any order; every vertex on
     any node, so the routed pairs cover source rows in any order and number."""
-    net = draw(route_networks())
+    net = draw(route_networks(exact))
     p = draw(st.integers(2, 10))
     edges = {(draw(st.integers(0, b - 1)), b) for b in range(1, p)}
     edges |= draw(st.sets(st.sampled_from(list(itertools.combinations(range(p), 2)))))
@@ -525,6 +527,59 @@ class TestRouteTrees:
             for u in range(net.n):
                 tree = reference_path_tree(batched.dist[u], batched.weight, u)
                 assert batched.parents(u) == single.parents(u) == tree
+
+
+def _reference_paths(dm, pairs) -> list[list[int]]:
+    trees = {}
+    return [_walk(trees.setdefault(u, reference_path_tree(dm.dist[u], dm.weight, u)), u, v)
+            for u, v in pairs]
+
+
+class TestGreedyRoutes:
+    """When every link weight is a positive integer and every distance is
+    below 2**53, path sums are exact: ``extract_paths`` walks the chosen
+    paths greedily, all pairs in lock step, and ``max_link_usage`` counts
+    their link crossings without building them.  Any other network keeps the
+    route trees."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(embeddings(exact=True))
+    def test_property_greedy_walks_equal_the_route_tree_reference(self, inst):
+        cg, net, e = inst
+        dm = apsp(net)
+        assert dm._exact
+        pairs = list(itertools.product(range(net.n), repeat=2))
+        assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
+        routes = _reference_paths(dm, [(e[a], e[b]) for a, b, _ in cg.edges])
+        crossings = Counter((min(x, y), max(x, y)) for path in routes
+                            for x, y in zip(path, path[1:]))
+        assert max_link_usage(cg, dm, e) == max(crossings.values(), default=0)
+        assert not dm._parents  # no route tree was built
+
+    @pytest.mark.parametrize("n, edges, u, v, path", [
+        (5, MIXED_TIE.edges, 0, 4, [0, 1, 2, 4]),  # a zero-weight link
+        # 0.1 + 0.2 > 0.3 in floats, so the direct link is the shorter way
+        (3, [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)], 0, 2, [0, 2]),
+        # 2**53 + 1 rounds to 2**53, the distance 0 -> 2
+        (3, [(0, 1, 2.0**53), (1, 2, 1.0), (0, 2, 2.0**53 + 2)], 0, 2, [0, 1, 2]),
+    ])
+    def test_inexact_networks_keep_the_route_trees(self, n, edges, u, v, path):
+        net = build_network(n, edges)
+        dm = apsp(net)
+        assert not dm._exact
+        assert extract_path(dm, u, v) == path
+        pairs = list(itertools.product(range(net.n), repeat=2))
+        assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
+        assert dm._parents
+
+    def test_unreachable_pair_keeps_the_route_trees(self):
+        inf = np.inf
+        dm = DistanceMatrix(dist=np.array([[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]),
+                            weight=np.array([[inf, 1.0, inf], [1.0, inf, inf], [inf, inf, inf]]))
+        assert not dm._exact
+        assert extract_path(dm, 0, 1) == [0, 1]
+        with pytest.raises(ValidationError, match="no path from 0 to 2"):
+            extract_path(dm, 0, 2)
 
 
 class TestLayering:

@@ -28,8 +28,10 @@ their difference, each run's end-to-end metrics and correctness, and per
 workload the quartiles of each metric on both sides, whether every run of a
 side was correct and how many jobs its runs failed in all, the ratio
 change/parent of the medians (below 1 is better: every metric is
-lower-is-better) and the number of pairs the change won, next to the seeds
-and the host (python, numpy, nproc).  The script exits 1, after writing the
+lower-is-better), the number of pairs the change won, the parent's spread
+(its interquartile range over its median) and whether the medians lie
+further apart than that range (``resolved``: a gap inside it is not told
+from noise), next to the seeds and the host (python, numpy, nproc).  The script exits 1, after writing the
 file, when a change run is not correct or fails more jobs than the parent run
 of its pair.
 """
@@ -118,7 +120,13 @@ def summarize(runs: list[dict]) -> dict:
              if sides["parent"][m]["median"] else None for m in names}
     wins = {m: sum(r["change"]["metrics"][m] < r["parent"]["metrics"][m] for r in runs)
             for m in names}
-    return {**sides, "ratio": ratio, "change_wins": wins, "pairs": len(runs)}
+    iqr = {m: sides["parent"][m]["q3"] - sides["parent"][m]["q1"] for m in names}
+    spread = {m: iqr[m] / sides["parent"][m]["median"] if sides["parent"][m]["median"] else None
+              for m in names}
+    resolved = {m: abs(sides["change"][m]["median"] - sides["parent"][m]["median"]) > iqr[m]
+                for m in names}
+    return {**sides, "ratio": ratio, "change_wins": wins, "parent_spread": spread,
+            "resolved": resolved, "pairs": len(runs)}
 
 
 def refused(wl: str, runs: list[dict]) -> list[str]:
