@@ -24,7 +24,8 @@ File formats (all JSON, unknown fields rejected):
                  optional knobs of ExperimentConfig.
 * state:        {"format_version": 3, "network": {...}, "computation": {...},
                  "layer": [int...]}: the inputs of a layered solve and each
-                 vertex's layer, written by ``--state-out``.
+                 vertex's layer, written by ``--state-out`` (``solve`` takes
+                 it with ``--method layered`` only, and exits 2 otherwise).
 
 The document parsers (the ``from_json`` constructors, ``load_embedding``,
 ``load_edits``, ``load_decomposition``, ``load_experiment_config`` and
@@ -470,9 +471,9 @@ def _cmd_solve(args) -> int:
         raise PreconditionError(f"method {method!r} does not solve {objective!r}")
     if args.decomposition and method != "treewidth":
         raise ValidationError("--decomposition requires --method treewidth")
-    td = load_decomposition(load_json(args.decomposition), cdoc) if args.decomposition else None
     if args.state_out is not None and method != "layered":
-        raise PreconditionError("--state-out requires --method layered")
+        raise ValidationError("--state-out requires --method layered")
+    td = load_decomposition(load_json(args.decomposition), cdoc) if args.decomposition else None
     emb, value, state = solve(cdoc.cg, ndoc.net, apsp(ndoc.net), td, args.budget)
     key = "cost" if objective == "mincost" else "delay"
     out = embedding_to_json(emb, cdoc, ndoc, objective=objective, method=method,

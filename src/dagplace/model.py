@@ -403,10 +403,21 @@ def _warn_off_path(cg: ComputationGraph) -> None:
 
 
 def apsp(net: NetworkGraph) -> DistanceMatrix:
-    """Exact all-pairs shortest paths by Dijkstra from every source in lock step.
+    """Exact all-pairs shortest paths: ``dist[u, v]`` is the least
+    left-to-right sum of link weights over the u->v paths (inf if none).
 
-    ``dist`` starts as the link weights with a zero diagonal.  Each of
-    ``n - 2`` steps settles every row's nearest unsettled node x and relaxes
+    When every link weighs the same c, with 0 <= c < inf, the distances are
+    hop levels (``_hop_levels``).  Every k-hop path then sums to the same
+    L_k = (..(c + c) + ..) + c, and float addition is monotone, so L_k never
+    falls as k grows: the least sum is L at the fewest hops.  That is the
+    fixpoint the lock-step Dijkstra below reaches, bit for bit, also for
+    c = 0, for fractional c and where L_k overflows to inf.  A -0.0 link
+    keeps the Dijkstra, whose ``np.minimum`` carries the sign of zero.
+
+    Every other network (mixed weights, or a NaN link built directly) takes
+    Dijkstra from every source in lock step.  ``dist`` starts as the link
+    weights with a zero diagonal.  Each of ``n - 2`` steps settles every
+    row's nearest unsettled node x and relaxes
     ``dist[u] = min(dist[u], dist[u, x] + weight[x])``.  With non-negative
     weights and monotone float addition every distance is then the least
     left-to-right path sum from the source: the one fixpoint the former
@@ -415,10 +426,14 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
     """
     n = net.n
     weight = np.full((n, n), np.inf)
+    w = np.empty(0)
     if net.edges:
         u, v, w = (np.array(c) for c in zip(*net.edges))
         weight[u, v] = w
         weight[v, u] = w
+    c = float(w[0]) if w.size else 0.0
+    if (w == c).all() and 0 <= c < np.inf and not np.signbit(w).any():
+        return DistanceMatrix(dist=_hop_levels(weight, c), weight=weight)
     dist = weight.copy()
     np.fill_diagonal(dist, 0.0)
     rows = np.arange(n)
@@ -430,6 +445,27 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
         np.add(weight[x], dist[rows, x][:, None], out=step)
         np.minimum(dist, step, out=dist)  # unlike a ``<`` mask, it carries NaN through
     return DistanceMatrix(dist=dist, weight=weight)
+
+
+def _hop_levels(weight: np.ndarray, c) -> np.ndarray:
+    """Distances of a network whose links (``weight < inf``) all weigh c:
+    breadth-first levels from every source at once.  Each level is one float
+    ``frontier @ adjacency`` product masked by the nodes already reached, and
+    its nodes get the running sum ``total += c``; unreached pairs stay inf."""
+    n = len(weight)
+    adj = (weight < np.inf).astype(float)
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    reached = np.eye(n, dtype=bool)
+    front = np.eye(n)
+    total = 0.0
+    while front.any():
+        level = (front @ adj > 0) & ~reached
+        total += c
+        dist[level] = total
+        reached |= level
+        front = level.astype(float)
+    return dist
 
 
 # (row, link) cells that one numpy pass of ``_build_trees`` holds at most

@@ -173,7 +173,7 @@ def test_state_out_is_refused_before_the_solve(tmp_path, capsys):
     argv = ["solve", "--objective", "mindelay", "--method", "tree", "--network",
             fx("fanin_net.json"), "--computation", fx("fanin_cg.json"),
             "--out", str(out), "--state-out", str(state)]
-    assert main(argv) == 4
+    assert main(argv) == 2
     assert capsys.readouterr().err == "error: --state-out requires --method layered\n"
     assert not out.exists() and not state.exists()
     # a malformed input file still exits 2 first

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -457,21 +457,37 @@ class TestZeroWeightTies:
                 assert path == rule_path(net, dm.dist, u, v)
 
 
+def _draw_links(draw, n: int) -> list[tuple[int, int]]:
+    """Links of a connected n-node network, sparse (a random spanning tree
+    plus a few links) or dense (every pair but a few)."""
+    pairs = set(itertools.combinations(range(n), 2))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    few = draw(st.sets(st.sampled_from(sorted(pairs)))) if pairs else set()
+    return sorted(tree | (pairs - few if draw(st.booleans()) else few))
+
+
 @st.composite
 def route_networks(draw, exact=False):
-    """Connected networks of 2-14 nodes, sparse (a random spanning tree plus
-    a few links) or dense (every pair but a few), with weights k/den for k in
-    0..hi: with hi = 1 about half the links weigh nothing.  ``exact`` draws
-    den = 1 and k in 1..hi, so every weight is a positive integer."""
+    """Connected networks of 2-14 nodes, sparse or dense (``_draw_links``),
+    with weights k/den for k in 0..hi: with hi = 1 about half the links weigh
+    nothing.  ``exact`` draws den = 1 and k in 1..hi, so every weight is a
+    positive integer."""
     n = draw(st.integers(2, 14))
     den = 1 if exact else draw(st.sampled_from((1, 10, 3, 7)))
     hi = draw(st.sampled_from((1, 3, 9)))
-    pairs = set(itertools.combinations(range(n), 2))
-    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    few = draw(st.sets(st.sampled_from(sorted(pairs))))
-    links = sorted(tree | (pairs - few if draw(st.booleans()) else few))
+    links = _draw_links(draw, n)
     ks = draw(st.lists(st.integers(int(exact), hi), min_size=len(links), max_size=len(links)))
     return build_network(n, [(u, v, k / den) for (u, v), k in zip(links, ks)])
+
+
+@st.composite
+def one_weight_networks(draw):
+    """Connected networks of 1-14 nodes, sparse or dense (``_draw_links``),
+    whose links all weigh one c: zero, fractional, integer, or so large that
+    two hops overflow to inf."""
+    n = draw(st.integers(1, 14))
+    c = draw(st.sampled_from((0.0, 0.1, 1 / 3, 1.0, 3.0, 1e308)))
+    return build_network(n, [(u, v, c) for u, v in _draw_links(draw, n)])
 
 
 @st.composite
@@ -497,23 +513,26 @@ def _walk(parents, u: int, v: int) -> list[int]:
 
 
 class TestRouteTrees:
-    """``route_edges`` builds the source rows of all its pairs in one numpy
-    pass; every row must equal ``reference_path_tree``, which builds one row
-    at a time over the dense link matrix."""
+    """On an inexact network ``route_edges`` builds the source rows of all
+    its pairs in one numpy pass; every row must equal ``reference_path_tree``,
+    which builds one row at a time over the dense link matrix."""
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(embeddings(), st.sampled_from((1 << 18, 1, 7)))
     def test_property_batched_routes_equal_the_per_row_reference(self, inst, cells):
         cg, net, e = inst
         dm = apsp(net)
+        assume(not dm._exact)  # exact networks are walked greedily (TestGreedyRoutes)
         with mock.patch.object(model, "_TREE_CELLS", cells):  # 1 and 7 split the pass
             routes = route_edges(cg, dm, e)
+        # the batched pass cached the row of every source routed to another node
+        assert set(dm._parents) == {e[a] for a, b, _ in cg.edges if e[a] != e[b]}
         ref = {}
         for (a, b, _), path in zip(cg.edges, routes):
             u = e[a]
             tree = ref.setdefault(u, reference_path_tree(dm.dist[u], dm.weight, u))
             assert path == _walk(tree, u, e[b])
-        for u, tree in ref.items():  # cached by the batched pass
+        for u, tree in ref.items():
             assert dm.parents(u) == tree
 
     def test_differential_networks_row_by_row_and_batched(self):
@@ -580,6 +599,59 @@ class TestGreedyRoutes:
         assert extract_path(dm, 0, 1) == [0, 1]
         with pytest.raises(ValidationError, match="no path from 0 to 2"):
             extract_path(dm, 0, 2)
+
+
+def _apsp_branch(net) -> tuple[DistanceMatrix, bool]:
+    """``apsp(net)`` and whether it took the hop levels."""
+    with mock.patch.object(model, "_hop_levels", wraps=model._hop_levels) as hop:
+        dm = apsp(net)
+    return dm, hop.called
+
+
+class TestHopLevels:
+    """A network whose links all weigh one c, 0 <= c < inf, takes breadth-first
+    hop levels instead of the lock-step Dijkstra, with the same floats; every
+    other network keeps the Dijkstra."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(one_weight_networks())
+    def test_property_hop_levels_equal_the_reference(self, net):
+        dm, hop = _apsp_branch(net)
+        assert hop
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
+        assert_networkx_distances(net, dm.dist)
+
+    @pytest.mark.parametrize("net", [
+        build_network(1, []),
+        # eight 0.1s sum to 0.7999999999999999, not 8 * 0.1
+        build_network(12, [(i, i + 1, 0.1) for i in range(11)]),
+        load_fixture("fanin")[1],
+        load_fixture("loop")[1],
+    ], ids=["one-node", "chain", "fanin", "loop"])
+    def test_one_weight_networks_take_hop_levels(self, net):
+        dm, hop = _apsp_branch(net)
+        assert hop
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
+
+    def test_unreachable_pairs_stay_inf(self):
+        # NetworkGraph built directly, past build_network's connectivity check
+        net = NetworkGraph(n=5, edges=((0, 1, 2.0), (1, 2, 2.0), (3, 4, 2.0)))
+        dm, hop = _apsp_branch(net)
+        assert hop
+        assert dm.dist[0, 2] == 4.0 and (dm.dist[:3, 3:] == np.inf).all()
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
+
+    @pytest.mark.parametrize("edges, d02", [
+        (((0, 1, 1.0), (1, 2, 2.0)), 3.0),  # mixed weights
+        (((0, 1, 1.0), (1, 2, np.nan)), np.nan),
+        (((0, 1, np.nan), (1, 2, np.nan)), np.nan),
+        (((0, 1, -0.0), (1, 2, -0.0)), 0.0),  # np.minimum carries the sign of zero
+        (((0, 1, 0.0), (1, 2, -0.0)), 0.0),
+    ], ids=["mixed", "one-nan", "all-nan", "negative-zero", "mixed-zeros"])
+    def test_other_networks_keep_the_lock_step_loop(self, edges, d02):
+        dm, hop = _apsp_branch(NetworkGraph(n=3, edges=edges))
+        assert not hop
+        assert np.array_equal(dm.dist[0, 2], d02, equal_nan=True)
 
 
 class TestLayering:

@@ -6,9 +6,11 @@ results of the traced functions: ``LayeredDPState.p``, ``.layer``, ``.r``,
 ``sink``, and ``model.extract_path`` for the hops of
 ``capacity_aware_delay``.  Renaming one of them fails only a ``--trace 1``
 run, so these tests trace one ``cost_replan`` and one ``cli_tree_eval``
-instance and pin their counts.
+instance and pin their counts.  Each job is judged against its reference as
+``run.py`` judges it, so a count cannot drop silently because its jobs failed.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -16,18 +18,27 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
 
 import spans  # noqa: E402
-from workloads import CliTreeEval, CostReplan  # noqa: E402
+from workloads import CliTreeEval, CostReplan, JobError, judge  # noqa: E402
 
 
 def traced_counts(wl, selection, tmp_path) -> dict[str, float]:
+    reference = json.loads((BENCH / "reference" / f"{wl.name}.json").read_text())
     jobs = wl.jobs(wl.setup(selection, tmp_path), tmp_path / "out")
     tracer = spans.Tracer()
+    failed = {}
     with spans.installed(tracer) as missing:
         assert missing == []
-        tracer.active = True
         for job in jobs:
-            job.run()
-        tracer.active = False
+            tracer.active = True
+            try:
+                result = job.run()
+            except Exception as exc:  # judged, as run.py judges a job that raises
+                result = JobError(type(exc).__name__, str(exc))
+            tracer.active = False
+            status = judge(job, result, reference)
+            if status != "ok":
+                failed[job.key] = status
+    assert failed == {}
     return tracer.counts()
 
 
