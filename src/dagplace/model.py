@@ -151,16 +151,13 @@ class DistanceMatrix:
     positive one whose weight is lost to rounding) must instead raise h, so
     zero-weight cycles are never walked.  h counts every tight link, so the
     chosen path need not have the fewest hops of all shortest paths.
-    Each source's choices are built on its first request and cached; the
-    sources that one ``extract_paths`` call needs are built together, in one
-    numpy pass over the directed links (derived once, on first use).  On an
-    exact network (``_exact``) ``extract_paths`` walks the paths greedily.
+    On an exact network (``_exact``) ``extract_paths`` walks the paths
+    greedily; otherwise it builds each source's route tree for that call.
     Equality and hashing are by identity, as for ``ComputationGraph``.
     """
 
     dist: np.ndarray  # (n, n) float
     weight: np.ndarray  # (n, n) float, inf off the links
-    _parents: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -179,12 +176,6 @@ class DistanceMatrix:
         walks the chosen paths greedily instead of building route trees."""
         w = self._links[2]
         return bool((w > 0).all() and (w == np.floor(w)).all() and (self.dist < 2.0**53).all())
-
-    def parents(self, u: int) -> tuple[int, ...]:
-        """``parents(u)[v]`` precedes v on the chosen u->v path (u for v == u,
-        -1 where v is unreachable)."""
-        _build_trees(self, (u,))
-        return self._parents[u]
 
 
 @dataclass(frozen=True)
@@ -258,7 +249,7 @@ def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -
     norm = []
     seen_pairs = set()
     for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
+        u, v, w = int(u), int(v), float(w) + 0.0  # -0.0 + 0.0 is +0.0
         if not (0 <= u < n and 0 <= v < n):
             raise UnknownNodeId(f"edge ({u},{v}) references a node outside 0..{n - 1}")
         if u == v:
@@ -412,7 +403,8 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
     falls as k grows: the least sum is L at the fewest hops.  That is the
     fixpoint the lock-step Dijkstra below reaches, bit for bit, also for
     c = 0, for fractional c and where L_k overflows to inf.  A -0.0 link
-    keeps the Dijkstra, whose ``np.minimum`` carries the sign of zero.
+    (``build_network`` stores it as +0.0, so only in a ``NetworkGraph`` built
+    directly) keeps the Dijkstra, whose ``np.minimum`` carries the sign of zero.
 
     Every other network (mixed weights, or a NaN link built directly) takes
     Dijkstra from every source in lock step.  ``dist`` starts as the link
@@ -439,11 +431,12 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
     rows = np.arange(n)
     settled = np.where(np.eye(n, dtype=bool), np.inf, 0.0)  # inf: settled in that row
     step = np.empty((n, n))
-    for _ in range(n - 2):
-        x = np.add(dist, settled, out=step).argmin(axis=1)
-        settled[rows, x] = np.inf
-        np.add(weight[x], dist[rows, x][:, None], out=step)
-        np.minimum(dist, step, out=dist)  # unlike a ``<`` mask, it carries NaN through
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, as it should be
+        for _ in range(n - 2):
+            x = np.add(dist, settled, out=step).argmin(axis=1)
+            settled[rows, x] = np.inf
+            np.add(weight[x], dist[rows, x][:, None], out=step)
+            np.minimum(dist, step, out=dist)  # unlike a ``<`` mask, it carries NaN through
     return DistanceMatrix(dist=dist, weight=weight)
 
 
@@ -468,55 +461,38 @@ def _hop_levels(weight: np.ndarray, c) -> np.ndarray:
     return dist
 
 
-# (row, link) cells that one numpy pass of ``_build_trees`` holds at most
-_TREE_CELLS = 1 << 18
-
-
-def _build_trees(dm: DistanceMatrix, rows) -> None:
-    """Cache the parents of the chosen paths from every source in ``rows``
-    not yet cached, computing the tight links of all of them at once."""
-    todo = [u for u in dict.fromkeys(rows) if u not in dm._parents]
+def _route_tree(dm: DistanceMatrix, u: int) -> list[int]:
+    """Parents of the chosen paths from u: ``parent[v]`` precedes v on the
+    chosen u->v path (u for v == u, -1 where v is unreachable).  It walks u's
+    tight links depth-first, smallest node first; on this acyclic link set
+    the first visit of a node comes along its lexicographically smallest path."""
     tails, heads, weights = dm._links
     n = dm.n
-    step = max(1, _TREE_CELLS // max(len(tails), 1))
-    for i in range(0, len(todo), step):
-        chunk = todo[i:i + step]
-        d = dm.dist[chunk]
-        dt, dh = d[:, tails], d[:, heads]
-        tight = dt + weights == dh
-        flat = tight & (dt == dh)
-        # every other tight link raises the distance, so only rows with flat
-        # links need the hop count
-        f = np.flatnonzero(flat.any(axis=1))
-        if f.size:
-            # hops by breadth-first levels over the tight links; a flat tight
-            # link is kept only when it adds the one hop
-            ft = tight[f]
-            hops = np.full((f.size, n), n)
-            level = np.zeros((f.size, n), dtype=bool)
-            level[np.arange(f.size), np.array(chunk)[f]] = True
-            k = 0
-            while level.any():
-                hops[level] = k
-                k += 1
-                r, l = np.nonzero(ft & level[:, tails])
-                level = np.zeros_like(level)
-                level[r, heads[l]] = True
-                level &= hops == n
-            tight[f] &= ~flat[f] | (hops[:, tails] < hops[:, heads])
-        r, l = np.nonzero(tight)  # row by row, each in (tail, head) order
-        head = heads[l].tolist()
-        end = np.cumsum(np.bincount(r * n + tails[l], minlength=len(chunk) * n)).tolist()
-        start = [0] + end[:-1]
-        for j, u in enumerate(chunk):
-            dm._parents[u] = _dfs(u, head, start[j * n:(j + 1) * n], end[j * n:(j + 1) * n])
-
-
-def _dfs(u: int, head: list, nxt: list, end: list) -> tuple[int, ...]:
-    """Parents of a depth-first walk from u, smallest node first, where x's
-    tight links lead to ``head[nxt[x]:end[x]]``.  On this acyclic link set the
-    first visit of a node comes along its lexicographically smallest path."""
-    parent = [-1] * len(nxt)
+    d = dm.dist[u]
+    dt, dh = d[tails], d[heads]
+    tight = dt + weights == dh
+    flat = tight & (dt == dh)
+    # every other tight link raises the distance, so hops are needed only
+    # when u has a flat one
+    if flat.any():
+        # hops by breadth-first levels over the tight links; a flat tight
+        # link is kept only when it adds the one hop
+        hops = np.full(n, n)
+        level = np.zeros(n, dtype=bool)
+        level[u] = True
+        k = 0
+        while level.any():
+            hops[level] = k
+            k += 1
+            front = level
+            level = np.zeros(n, dtype=bool)
+            level[heads[tight & front[tails]]] = True
+            level &= hops == n
+        tight &= ~flat | (hops[tails] < hops[heads])
+    head = heads[tight].tolist()  # in (tail, head) order
+    end = np.cumsum(np.bincount(tails[tight], minlength=n)).tolist()
+    nxt = [0] + end[:-1]
+    parent = [-1] * n
     parent[u] = u
     stack = [u]
     while stack:
@@ -531,7 +507,7 @@ def _dfs(u: int, head: list, nxt: list, end: list) -> tuple[int, ...]:
         w = head[i]
         parent[w] = x
         stack.append(w)
-    return tuple(parent)
+    return parent
 
 
 def _greedy_walk(dm: DistanceMatrix, pairs) -> np.ndarray:
@@ -555,19 +531,19 @@ def _greedy_walk(dm: DistanceMatrix, pairs) -> np.ndarray:
 def extract_paths(dm: DistanceMatrix, pairs) -> list[list[int]]:
     """Node sequences of the chosen shortest u->v paths of ``pairs``, in
     order; [u] when u == v.  On an exact network (``DistanceMatrix._exact``)
-    they are walked greedily, otherwise the source rows they need are built
-    together."""
+    they are walked greedily, otherwise from the route tree of each distinct
+    source, built for this call."""
     pairs = list(pairs)
     if dm._exact:
         walk = _greedy_walk(dm, pairs)
         hops = (walk[1:] != walk[:-1]).sum(axis=0).tolist()
         return [col[:h + 1] for col, h in zip(walk.T.tolist(), hops)]
-    _build_trees(dm, [u for u, v in pairs if u != v])
+    trees = {u: _route_tree(dm, u) for u in {u for u, v in pairs if u != v}}
     out = []
     for u, v in pairs:
         path = [v]
         if u != v:
-            parent = dm._parents[u]
+            parent = trees[u]
             x = v
             while x != u:
                 x = parent[x]

@@ -50,7 +50,7 @@ def reference_components(n: int, edges) -> list[set[int]]:
 def reference_path_tree(d: np.ndarray, weight: np.ndarray, u: int) -> tuple[int, ...]:
     """Parents of the chosen paths from u, given u's distance row ``d``, one
     source row at a time over the dense (n, n) link matrix; the reference
-    for ``DistanceMatrix.parents`` and ``model.extract_paths``."""
+    for ``model._route_tree`` and ``model.extract_paths``."""
     n = len(d)
     tight = (d[:, None] + weight == d[None, :]) & (weight < np.inf)
     flat = tight & (d[:, None] == d[None, :])

@@ -25,3 +25,14 @@ def test_summary_resolves_a_gap_only_beyond_the_parent_iqr():
     assert summary["ratio"] == {"wall_s": 0.6, "setup_s": 1.3, "calls": None}
     assert summary["change_wins"] == {"wall_s": 5, "setup_s": 0, "calls": 0}
     assert summary["pairs"] == 5
+
+
+def test_summary_checks_each_end_to_end_bound():
+    # parent medians 10; wall_s and setup_s have the bound 0.25, so 12.5 is
+    # the largest change median within it; calls has no bound
+    runs = [{"seed": s, "parent": side(wall_s=x, setup_s=x, calls=0),
+             "change": side(wall_s=x + 2.5, setup_s=x + 2.6, calls=1)}
+            for s, x in zip(range(101, 106), (8, 9, 10, 11, 12))]
+    assert bench_pair.BOUNDS["wall_s"] == bench_pair.BOUNDS["setup_s"] == 0.25
+    summary = bench_pair.summarize(runs)
+    assert summary["within_bound"] == {"wall_s": True, "setup_s": False, "calls": None}

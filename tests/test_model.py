@@ -368,7 +368,7 @@ class TestApsp:
         # check: no path may run over a link that is not there
         dm = apsp(NetworkGraph(n=3, edges=((0, 1, 1.0),)))
         assert dm.dist[0, 2] == np.inf
-        assert dm.parents(0) == (0, 0, -1)
+        assert extract_path(dm, 0, 1) == [0, 1]
         with pytest.raises(ValidationError, match="no path"):
             extract_path(dm, 0, 2)
 
@@ -377,12 +377,22 @@ class TestApsp:
         dm = apsp(NetworkGraph(n=3, edges=((0, 1, 1.0), (1, 2, float("nan")))))
         assert np.isnan(dm.dist[0, 2])
 
+    def test_overflowing_relaxations_raise_no_warning(self):
+        # sums such as 1e308 + 1e308 back over a link overflow to inf; no
+        # distance does, and inf is the intended result of those that do
+        net = build_network(3, [(0, 1, 1e308), (1, 2, 1e307)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dm = apsp(net)
+        assert dm.dist[0, 2] == 1e308 + 1e307
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
+
     def test_paths_are_built_per_source_and_kept(self):
         net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
         dm = apsp(net)
         assert not hasattr(dm, "pred")
-        assert dm.parents(0) == (0, 0, 1)
-        assert dm.parents(0) is dm.parents(0)
+        assert extract_paths(dm, [(0, 0), (0, 1), (0, 2)]) == [[0], [0, 1], [0, 1, 2]]
+        assert extract_path(dm, 0, 2) == [0, 1, 2]
         assert dm.weight[0, 2] == 3 and dm.weight[0, 0] == np.inf
 
 
@@ -512,46 +522,42 @@ def _walk(parents, u: int, v: int) -> list[int]:
     return path[::-1]
 
 
-class TestRouteTrees:
-    """On an inexact network ``route_edges`` builds the source rows of all
-    its pairs in one numpy pass; every row must equal ``reference_path_tree``,
-    which builds one row at a time over the dense link matrix."""
-
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(embeddings(), st.sampled_from((1 << 18, 1, 7)))
-    def test_property_batched_routes_equal_the_per_row_reference(self, inst, cells):
-        cg, net, e = inst
-        dm = apsp(net)
-        assume(not dm._exact)  # exact networks are walked greedily (TestGreedyRoutes)
-        with mock.patch.object(model, "_TREE_CELLS", cells):  # 1 and 7 split the pass
-            routes = route_edges(cg, dm, e)
-        # the batched pass cached the row of every source routed to another node
-        assert set(dm._parents) == {e[a] for a, b, _ in cg.edges if e[a] != e[b]}
-        ref = {}
-        for (a, b, _), path in zip(cg.edges, routes):
-            u = e[a]
-            tree = ref.setdefault(u, reference_path_tree(dm.dist[u], dm.weight, u))
-            assert path == _walk(tree, u, e[b])
-        for u, tree in ref.items():
-            assert dm.parents(u) == tree
-
-    def test_differential_networks_row_by_row_and_batched(self):
-        # every row of every network, batched, and one at a time
-        for net in differential_networks():
-            batched, single = apsp(net), apsp(net)
-            pairs = [(u, v) for u in range(net.n) for v in range(net.n)]
-            paths = extract_paths(batched, pairs)
-            for (u, v), path in zip(pairs, paths):
-                assert path == extract_path(single, u, v)
-            for u in range(net.n):
-                tree = reference_path_tree(batched.dist[u], batched.weight, u)
-                assert batched.parents(u) == single.parents(u) == tree
-
-
 def _reference_paths(dm, pairs) -> list[list[int]]:
     trees = {}
     return [_walk(trees.setdefault(u, reference_path_tree(dm.dist[u], dm.weight, u)), u, v)
             for u, v in pairs]
+
+
+class TestRouteTrees:
+    """On an inexact network ``extract_paths`` builds the route tree of each
+    source it needs, for that call; every path must equal a walk of
+    ``reference_path_tree``, which builds a row over the dense link matrix.
+    "Batched" is one call for all pairs, against one call per pair."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(embeddings())
+    def test_property_batched_routes_equal_the_per_row_reference(self, inst):
+        cg, net, e = inst
+        dm = apsp(net)
+        assume(not dm._exact)  # exact networks are walked greedily (TestGreedyRoutes)
+        pairs = list(itertools.product(range(net.n), repeat=2))
+        assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
+        routed = [(e[a], e[b]) for a, b, _ in cg.edges]
+        assert route_edges(cg, dm, e) == _reference_paths(dm, routed)
+
+    def test_differential_networks_row_by_row_and_batched(self):
+        # every pair of every network, in one call, and one call per pair
+        for net in differential_networks():
+            dm = apsp(net)
+            pairs = [(u, v) for u in range(net.n) for v in range(net.n)]
+            paths = extract_paths(dm, pairs)
+            assert paths == [extract_path(dm, u, v) for u, v in pairs]
+            assert paths == _reference_paths(dm, pairs)
+
+
+def _route_trees():
+    """Context manager that wraps ``model._route_tree`` to record its calls."""
+    return mock.patch.object(model, "_route_tree", wraps=model._route_tree)
 
 
 class TestGreedyRoutes:
@@ -568,12 +574,13 @@ class TestGreedyRoutes:
         dm = apsp(net)
         assert dm._exact
         pairs = list(itertools.product(range(net.n), repeat=2))
-        assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
         routes = _reference_paths(dm, [(e[a], e[b]) for a, b, _ in cg.edges])
         crossings = Counter((min(x, y), max(x, y)) for path in routes
                             for x, y in zip(path, path[1:]))
-        assert max_link_usage(cg, dm, e) == max(crossings.values(), default=0)
-        assert not dm._parents  # no route tree was built
+        with _route_trees() as tree:
+            assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
+            assert max_link_usage(cg, dm, e) == max(crossings.values(), default=0)
+        assert not tree.called
 
     @pytest.mark.parametrize("n, edges, u, v, path", [
         (5, MIXED_TIE.edges, 0, 4, [0, 1, 2, 4]),  # a zero-weight link
@@ -586,19 +593,22 @@ class TestGreedyRoutes:
         net = build_network(n, edges)
         dm = apsp(net)
         assert not dm._exact
-        assert extract_path(dm, u, v) == path
         pairs = list(itertools.product(range(net.n), repeat=2))
-        assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
-        assert dm._parents
+        with _route_trees() as tree:
+            assert extract_path(dm, u, v) == path
+            assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
+        assert tree.called
 
     def test_unreachable_pair_keeps_the_route_trees(self):
         inf = np.inf
         dm = DistanceMatrix(dist=np.array([[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]),
                             weight=np.array([[inf, 1.0, inf], [1.0, inf, inf], [inf, inf, inf]]))
         assert not dm._exact
-        assert extract_path(dm, 0, 1) == [0, 1]
-        with pytest.raises(ValidationError, match="no path from 0 to 2"):
-            extract_path(dm, 0, 2)
+        with _route_trees() as tree:
+            assert extract_path(dm, 0, 1) == [0, 1]
+            with pytest.raises(ValidationError, match="no path from 0 to 2"):
+                extract_path(dm, 0, 2)
+        assert tree.called
 
 
 def _apsp_branch(net) -> tuple[DistanceMatrix, bool]:
@@ -639,6 +649,13 @@ class TestHopLevels:
         dm, hop = _apsp_branch(net)
         assert hop
         assert dm.dist[0, 2] == 4.0 and (dm.dist[:3, 3:] == np.inf).all()
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
+
+    def test_negative_zero_weights_are_stored_as_zero(self):
+        net = build_network(3, [(0, 1, -0.0), (1, 2, -0.0)])
+        assert not any(np.signbit(w) for _, _, w in net.edges)
+        dm, hop = _apsp_branch(net)
+        assert hop
         assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
 
     @pytest.mark.parametrize("edges, d02", [

@@ -31,7 +31,10 @@ change/parent of the medians (below 1 is better: every metric is
 lower-is-better), the number of pairs the change won, the parent's spread
 (its interquartile range over its median) and whether the medians lie
 further apart than that range (``resolved``: a gap inside it is not told
-from noise), next to the seeds and the host (python, numpy, nproc).  The script exits 1, after writing the
+from noise) and, for the end-to-end metrics of BENCHMARK.json, whether the
+change's median is at most the parent's times one plus the metric's bound
+(``within_bound``; None for other metrics), next to the seeds and the host
+(python, numpy, nproc).  The script exits 1, after writing the
 file, when a change run is not correct or fails more jobs than the parent run
 of its pair.
 """
@@ -54,6 +57,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+BOUNDS = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 
 
 def parse_args(argv=None):
@@ -125,8 +129,10 @@ def summarize(runs: list[dict]) -> dict:
               for m in names}
     resolved = {m: abs(sides["change"][m]["median"] - sides["parent"][m]["median"]) > iqr[m]
                 for m in names}
+    within = {m: sides["change"][m]["median"] <= sides["parent"][m]["median"] * (1 + BOUNDS[m])
+              if m in BOUNDS else None for m in names}
     return {**sides, "ratio": ratio, "change_wins": wins, "parent_spread": spread,
-            "resolved": resolved, "pairs": len(runs)}
+            "resolved": resolved, "within_bound": within, "pairs": len(runs)}
 
 
 def refused(wl: str, runs: list[dict]) -> list[str]:
