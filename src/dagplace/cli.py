@@ -144,6 +144,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _flag(doc: dict, key: str, what: str) -> bool:
+    x = doc.get(key, False)
+    if not isinstance(x, bool):
+        raise ValidationError(f"{what}: {key!r} must be true or false, got {x!r}")
+    return x
+
+
 def _list(x, what: str) -> list:
     if not isinstance(x, list):
         raise ValidationError(f"{what} must be a list, got {x!r}")
@@ -189,7 +196,7 @@ class NetworkDoc:
                 len(ids), edges,
                 sources=tuple(nid(s) for s in _list(doc["sources"], "network: 'sources'")),
                 sink=nid(doc["sink"]),
-                allow_sink_source=bool(doc.get("allow_sink_source", False)),
+                allow_sink_source=_flag(doc, "allow_sink_source", "network"),
             )
         except DisconnectedGraph as exc:
             named = ", ".join(
@@ -263,7 +270,7 @@ class ComputationDoc:
             sources=sources,
             sink=vid(doc["sink"]),
             processing=proc,
-            require_dag=not bool(doc.get("allow_cycles", False)),
+            require_dag=not _flag(doc, "allow_cycles", "computation"),
         )
         return cls(list(doc["nodes"]), cg)
 

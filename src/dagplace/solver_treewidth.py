@@ -191,53 +191,36 @@ def min_fill_decomposition(cg: ComputationGraph) -> TreeDecomposition:
     return TreeDecomposition(elim_bag, tree_edges)
 
 
-def _message(table: np.ndarray, free: list[int], parent_bag, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min and argmin of a bag table over its axes outside ``parent_bag``.
-
-    ``table`` has one axis of length n per vertex of ``free``, in increasing
-    id order.  Both arrays have one axis per free separator vertex, in
-    increasing id order; the argmin is a C-order flat index over the
-    remaining axes, so ties go to the lexicographically smallest completion.
-    Eliminated axes that sit next to each other are reduced where they lie,
-    with no copy; others are first moved behind the separator axes.
-    """
-    f = len(free)
-    sep = [i for i, w in enumerate(free) if w in parent_bag]
-    rest = [i for i, w in enumerate(free) if w not in parent_bag]
-    t = table
-    if rest and rest[-1] - rest[0] + 1 != len(rest):
-        t = np.moveaxis(t, sep, range(len(sep)))
-        rest = range(len(sep), f)
-    t = t.reshape(n ** (rest[0] if rest else 0), n ** len(rest), -1)
-    shape = (n,) * len(sep)
-    return t.min(axis=1).reshape(shape), t.argmin(axis=1).reshape(shape)
-
-
 def _solve_bags(cg, td, pinned, dm, budget, known):
     """Bag-table dynamic program over ``td``: (embedding, cost, messages).
 
     ``td`` is checked against ``cg`` and rooted by ``_rooted`` first, before
     the budget check; the home bags and the children order are its.
 
-    Bag b's table has one axis per free (unpinned) vertex of the bag, in
-    increasing id order.  It starts as +0.0 with every axis of length 1 and
-    adds, by broadcasting, the processing of the bag's home vertices, then
-    ``lam * d`` of its home edges in ``cg.edges`` order, then its children's
-    messages.  Every term is taken the same way, as a view of its processing
-    row, distance matrix or message indexed per vertex by ``index``: a free
-    vertex keeps its whole axis, which is laid at its axis of the table, and
-    a pinned vertex takes its node, as an observed variable restricts a
-    factor in bucket elimination.  An axis grows to length n with the first
-    term that spans it, and once every axis has, the remaining terms are
-    added in place; an axis that no term spans is broadcast to length n at
-    the end.  So each cell receives the same additions in the same order as
-    in a table filled at full width from the start.  ``budget`` bounds the
-    cells of the largest full-width table.
+    Bag b's table has one axis per free (unpinned) vertex of the bag, laid
+    out once per bag: its free home vertices, then its free separator
+    vertices, each in increasing id.  It starts as +0.0 with every axis of
+    length 1 and adds, by broadcasting, the processing of the bag's home
+    vertices, then ``lam * d`` of its home edges in ``cg.edges`` order, then
+    its children's messages.  Every term is taken the same way, as a view of
+    its processing row, distance matrix or message indexed per vertex by
+    ``index``: a free vertex keeps its whole axis, which is laid at its axis
+    of the table (one transpose puts a term's axes in table order when they
+    are not), and a pinned vertex takes its node, as an observed variable
+    restricts a factor in bucket elimination.  An axis grows to length n with
+    the first term that spans it, and once every axis has, the remaining
+    terms are added in place; an axis that no term spans is broadcast to
+    length n at the end.  So each cell receives the same additions in the
+    same order as in a table filled at full width from the start.
+    ``budget`` bounds the cells of the largest full-width table.
 
-    Every bag, the root too, reduces its table by ``_message`` over its home
-    vertices.  The root has no separator, so its message is the 0-d minimum,
-    the cost, and its argmin.  The backtrack then takes each bag's home
-    vertices from its argmin at its separator's nodes, parents first.
+    Every bag, the root too, sends the min and argmin of its table over its
+    leading axes, its home vertices, as a table over its separator axes in
+    increasing id.  The argmin is a C-order flat index over the home
+    vertices in increasing id, so ties go to the lexicographically smallest
+    completion.  The root has no separator, so its message is the 0-d
+    minimum, the cost, and its argmin.  The backtrack then takes each bag's
+    home vertices from its argmin at its separator's nodes, parents first.
 
     Each bag is keyed, children first, by a plain tuple of all that its
     message reads besides ``dm``: its vertices, the images of its pinned
@@ -253,20 +236,25 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
     n = dm.n
     d = dm.dist
     proc = cg.processing
-    free = [[w for w in bag if w not in pinned] for bag in td.bags]
-    if (cells := max(n ** len(f) for f in free)) > budget:
+    # each bag's table layout: its free home vertices, then its free separator
+    home = [[w for w in ws if w not in pinned] for ws in home_vertices]
+    layout = [home[b] + [w for w in bag if w not in pinned and w not in home_vertices[b]]
+              for b, bag in enumerate(td.bags)]
+    if (cells := max(n ** len(lb) for lb in layout)) > budget:
         raise BudgetExceeded(f"bag table of {cells} cells exceeds the budget of {budget}")
     index = [pinned.get(w, slice(None)) for w in range(cg.p)]
 
     def term(arr, ws):
         # ``arr`` has one axis per vertex of ``ws``; ``axis`` and ``f`` are the
-        # current bag's.  Only an edge from a higher id comes out of id order.
+        # current bag's.  A pinned vertex's axis is indexed away.
         t = arr[tuple(map(index.__getitem__, ws))]
+        at = [axis[w] for w in ws if w in axis]
+        if at != sorted(at):
+            t = t.transpose(np.argsort(at))
         shape = [1] * f
-        for w in ws:
-            if w in axis:
-                shape[axis[w]] = n
-        return (t.T if t.ndim == 2 and ws[0] > ws[1] else t).reshape(shape)
+        for i in at:
+            shape[i] = n
+        return t.reshape(shape)
 
     keys: dict[int, tuple] = {}
     messages: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -285,12 +273,11 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
         )
         sent[b] = known.get(key) if known and b != root else None
         if sent[b] is None:
-            fb = free[b]
-            f = len(fb)
-            axis = {w: i for i, w in enumerate(fb)}
+            f = len(layout[b])
+            axis = {w: i for i, w in enumerate(layout[b])}
             terms = [term(proc[w], (w,)) for w in home_vertices[b]]
             terms += [lam * term(d, (a, c)) for a, c, lam in home_edges[b]]
-            terms += [term(sent[ch][0], [w for w in free[ch] if w in axis]) for ch in children[b]]
+            terms += [term(sent[ch][0], layout[ch][len(home[ch]):]) for ch in children[b]]
             full = (n,) * f
             table = np.zeros((1,) * f)
             for t in terms:
@@ -300,7 +287,9 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
                     table = np.add(table, t, order="C")
             # an axis no term spans still has length 1: broadcast it to n
             table = table if table.shape == full else np.broadcast_to(table, full)
-            sent[b] = _message(table, fb, sep, n)
+            flat = table.reshape(n ** len(home[b]), -1)
+            shape = (n,) * (f - len(home[b]))
+            sent[b] = flat.min(axis=0).reshape(shape), flat.argmin(axis=0).reshape(shape)
         if b != root:
             messages[key] = sent[b]
 
@@ -308,10 +297,9 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
     for w, v in pinned.items():
         assignment[w] = v
     for b in children:
-        sep = [w for w in free[b] if w not in home_vertices[b]]
-        rest = [w for w in free[b] if w in home_vertices[b]]
+        sep = layout[b][len(home[b]):]
         pick = int(sent[b][1][tuple(assignment[w] for w in sep)])
-        for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
+        for w, v in zip(home[b], np.unravel_index(pick, (n,) * len(home[b]))):
             assignment[w] = int(v)
     return Embedding(tuple(assignment)), float(sent[root][0]), messages
 

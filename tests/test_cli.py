@@ -312,6 +312,10 @@ def _one_error_line(argv, capsys) -> int:
     ("bench-link-usage", _with("bench_link_usage_desk.json", max_resamples=0)),
     # negative processing: the parent exited 2 only after the study ran
     ("bench", _with("bench_k2_desk.json", xi_lo=-1)),
+    # a flag must be a JSON boolean; "false" used to read as true
+    ("validate-network", _with("prodsum_net.json", allow_sink_source="false")),
+    ("validate", _with("prodsum_cg.json", allow_cycles="false")),
+    ("treewidth-cg", _with("loop_cg.json", allow_cycles="false")),
 ])
 def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"

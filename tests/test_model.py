@@ -531,12 +531,12 @@ def _reference_paths(dm, pairs) -> list[list[int]]:
 class TestRouteTrees:
     """On an inexact network ``extract_paths`` builds the route tree of each
     source it needs, for that call; every path must equal a walk of
-    ``reference_path_tree``, which builds a row over the dense link matrix.
-    "Batched" is one call for all pairs, against one call per pair."""
+    ``reference_path_tree``, which builds a row over the dense link matrix,
+    whether all pairs are asked for in one call or one pair per call."""
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(embeddings())
-    def test_property_batched_routes_equal_the_per_row_reference(self, inst):
+    def test_property_routes_equal_the_reference_trees(self, inst):
         cg, net, e = inst
         dm = apsp(net)
         assume(not dm._exact)  # exact networks are walked greedily (TestGreedyRoutes)
@@ -545,7 +545,7 @@ class TestRouteTrees:
         routed = [(e[a], e[b]) for a, b, _ in cg.edges]
         assert route_edges(cg, dm, e) == _reference_paths(dm, routed)
 
-    def test_differential_networks_row_by_row_and_batched(self):
+    def test_differential_networks_all_pairs_and_pair_by_pair(self):
         # every pair of every network, in one call, and one call per pair
         for net in differential_networks():
             dm = apsp(net)

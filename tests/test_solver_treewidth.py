@@ -500,7 +500,8 @@ def test_property_engine_equals_the_full_width_reference(instance, data):
 
 def test_all_ties_go_to_the_smallest_assignment():
     # bag (1, 2, 3) eliminates 2 and sends the root (1, 3, 4) a message over
-    # (1, 3), which are not the bag's leading axes
+    # (1, 3); its table lays out as (2, 1, 3), home vertex first, so its edge
+    # (1, 2) is transposed into table order
     net = build_network(3, [(0, 1, 0.0), (1, 2, 0.0)], sources=(2,), sink=1)
     cg = build_computation(5, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0),
                                (1, 4, 1.0)], (0,), 4, np.zeros((5, 3)))
