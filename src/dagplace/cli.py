@@ -172,6 +172,23 @@ def _matrix_rows(proc_doc: dict) -> list[list]:
     return rows
 
 
+def _read_graph(doc, required, flag: str, what: str, item: str):
+    """(name table, edges, sources, sink, ``flag``) of a network or computation
+    document, whose fields beyond the graph's are ``required`` and ``flag``."""
+    _require_fields(doc, ("nodes", "edges", "sources", "sink", *required), (flag,), what=what)
+    ids = _name_table(doc["nodes"], what)
+    unknown, weight = f"{what}: unknown {item} name", f"{what} edge weight"
+    edges = []
+    for e in _list(doc["edges"], f"{what}: 'edges'"):
+        if not isinstance(e, list) or len(e) != 3:
+            raise ValidationError(f"{what}: edge {e!r} must be [u, v, weight]")
+        edges.append((_lookup(ids, e[0], unknown), _lookup(ids, e[1], unknown),
+                      _num(e[2], weight)))
+    sources = tuple(_lookup(ids, s, unknown) for s in _list(doc["sources"], f"{what}: 'sources'"))
+    sink = _lookup(ids, doc["sink"], unknown)
+    return ids, edges, sources, sink, _flag(doc, flag, what)
+
+
 class NetworkDoc:
     def __init__(self, names: list[str], net: NetworkGraph):
         self.names = names
@@ -179,25 +196,10 @@ class NetworkDoc:
 
     @classmethod
     def from_json(cls, doc: dict) -> "NetworkDoc":
-        _require_fields(doc, ("nodes", "edges", "sources", "sink"),
-                        ("allow_sink_source",), what="network")
-        ids = _name_table(doc["nodes"], "network")
-
-        def nid(x):
-            return _lookup(ids, x, "network: unknown node name")
-
-        edges = []
-        for e in _list(doc["edges"], "network: 'edges'"):
-            if not isinstance(e, list) or len(e) != 3:
-                raise ValidationError(f"network: edge {e!r} must be [u, v, weight]")
-            edges.append((nid(e[0]), nid(e[1]), _num(e[2], "network edge weight")))
+        ids, edges, sources, sink, allow = _read_graph(doc, (), "allow_sink_source",
+                                                       "network", "node")
         try:
-            net = build_network(
-                len(ids), edges,
-                sources=tuple(nid(s) for s in _list(doc["sources"], "network: 'sources'")),
-                sink=nid(doc["sink"]),
-                allow_sink_source=_flag(doc, "allow_sink_source", "network"),
-            )
+            net = build_network(len(ids), edges, sources, sink, allow_sink_source=allow)
         except DisconnectedGraph as exc:
             named = ", ".join(
                 str([doc["nodes"][i] for i in comp]) for comp in exc.components
@@ -224,21 +226,10 @@ class ComputationDoc:
 
     @classmethod
     def from_json(cls, doc: dict, n_network: int) -> "ComputationDoc":
-        _require_fields(doc, ("nodes", "edges", "sources", "sink", "processing"),
-                        ("allow_cycles",), what="computation")
-        ids = _name_table(doc["nodes"], "computation")
+        ids, edges, sources, sink, cyclic = _read_graph(doc, ("processing",), "allow_cycles",
+                                                        "computation", "vertex")
         p = len(ids)
-
-        def vid(x):
-            return _lookup(ids, x, "computation: unknown vertex name")
-
-        sources = tuple(vid(s) for s in _list(doc["sources"], "computation: 'sources'"))
-        edges = []
-        for e in _list(doc["edges"], "computation: 'edges'"):
-            if not isinstance(e, list) or len(e) != 3:
-                raise ValidationError(f"computation: edge {e!r} must be [u, v, weight]")
-            edges.append((vid(e[0]), vid(e[1]), _num(e[2], "computation edge weight")))
-
+        unknown = "computation: unknown vertex name"
         proc_doc = doc["processing"]
         if not isinstance(proc_doc, dict):
             raise ValidationError("computation: 'processing' must be an object")
@@ -257,21 +248,15 @@ class ComputationDoc:
                     raise ValidationError(f"processing override {ov!r} must be [vertex, node, value]")
                 w, node, val = ov
                 if node == "*":
-                    proc[vid(w), :] = _num(val, "processing override")
+                    proc[_lookup(ids, w, unknown), :] = _num(val, "processing override")
                 else:
                     if not _is_int(node) or not 0 <= node < n_network:
                         raise ValidationError(
                             f"processing override node {node!r} must be '*' or 0..{n_network - 1}"
                         )
-                    proc[vid(w), node] = _num(val, "processing override")
+                    proc[_lookup(ids, w, unknown), node] = _num(val, "processing override")
             proc[list(sources), :] = 0.0
-        cg = build_computation(
-            p, edges,
-            sources=sources,
-            sink=vid(doc["sink"]),
-            processing=proc,
-            require_dag=not _flag(doc, "allow_cycles", "computation"),
-        )
+        cg = build_computation(p, edges, sources, sink, proc, require_dag=not cyclic)
         return cls(list(doc["nodes"]), cg)
 
     def to_json(self) -> dict:
@@ -316,11 +301,8 @@ def load_embedding(doc: dict, cdoc: ComputationDoc, ndoc: NetworkDoc) -> Embeddi
     if not isinstance(doc["map"], dict):
         raise ValidationError("embedding: 'map' must be an object of vertex: node names")
     for w, v in doc["map"].items():
-        if w not in cids:
-            raise ValidationError(f"embedding: unknown computation vertex {w!r}")
-        if not isinstance(v, str) or v not in nids:
-            raise ValidationError(f"embedding: unknown network node {v!r}")
-        asg[cids[w]] = nids[v]
+        w = _lookup(cids, w, "embedding: unknown computation vertex")
+        asg[w] = _lookup(nids, v, "embedding: unknown network node")
     if any(x < 0 for x in asg):
         raise ValidationError("embedding: every computation vertex needs an image")
     e = Embedding(tuple(asg))

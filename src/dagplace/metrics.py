@@ -3,7 +3,7 @@
 The cost of an embedding is the sum of all processing terms plus, for every
 computation edge, its weight times the shortest-path distance between the
 images of its endpoints.  The idealized delay propagates completion times
-through the DAG taking the max over predecessors.  The contention-aware delay
+through the DAG taking the max over in-edges.  The contention-aware delay
 re-plays the same routed paths through a discrete-event simulation in which
 each link transmits one intermediate result at a time.
 """
@@ -91,9 +91,9 @@ def embedding_cost(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> fl
 def embedding_delay(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> DelayReport:
     """Critical-path delay assuming links never queue.
 
-    Completion of a vertex is the max over its predecessors of their completion
+    Completion of a vertex is the max over its in-edges of the tail's completion
     plus the edge's transmission time, plus the vertex's own processing time.
-    A vertex without predecessors starts at time zero, so a source, which has
+    A vertex without in-edges starts at time zero, so a source, which has
     none and a zero processing row (``build_computation``), completes at zero.
     """
     order = cg.topological_order()
@@ -138,8 +138,9 @@ def capacity_aware_delay(
     Each computation edge is routed along its shortest path and crosses its
     links in turn, queueing at a busy link.  By default the two directions of
     a link share one queue; ``per_direction`` gives each direction its own.
-    A vertex without inputs fires at its processing time, so a source, whose
-    processing row is zero (``build_computation``), fires at time zero; any
+    A vertex without inputs fires at 0.0 plus its processing time, as in
+    ``embedding_delay``, so a source, whose processing row is zero
+    (``build_computation``, which admits -0.0), fires at +0.0; any
     other vertex fires once the data of all its incoming edges has fully
     arrived, after its processing time.
 
@@ -184,7 +185,7 @@ def capacity_aware_delay(
 
     # taken before any firing: deliveries fire every other vertex
     for w in [w for w in cg.topological_order() if pending[w] == 0]:
-        fire(w, cg.processing[w, e.assignment[w]])
+        fire(w, 0.0 + cg.processing[w, e.assignment[w]])
 
     while events:
         t, kind, key, idx = heapq.heappop(events)

@@ -63,10 +63,11 @@ class ComputationGraph:
     size of the intermediate result flowing along the edge.  ``processing``
     has shape (p, n) and is zero on source rows by convention.
 
-    The in-edges, predecessors, out-edges and topological order are derived
-    from ``edges`` by ``__post_init__`` and cannot be passed in, so
-    ``dataclasses.replace`` rebuilds them.  The order is Kahn's, smallest
-    ready vertex first, and None on a cycle (then ``is_dag`` is False).
+    ``__post_init__`` derives from ``edges`` each vertex's in-edges, as
+    (tail, weight) pairs, its out-edges, as indices into ``edges`` (both in
+    edge order), and the topological order: Kahn's, smallest ready vertex
+    first, and None on a cycle (then ``is_dag`` is False).  They cannot be
+    passed in, so ``dataclasses.replace`` rebuilds them.
     Equality and hashing are by identity: ``processing`` is an ndarray, whose
     ``==`` has no truth value.
     """
@@ -77,19 +78,16 @@ class ComputationGraph:
     sink: int
     processing: np.ndarray  # (p, n); treated as read-only
     _in_edges: tuple = field(init=False, repr=False)
-    _predecessors: tuple = field(init=False, repr=False)
     _out_edges: tuple = field(init=False, repr=False)
     _topo: tuple[int, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         ine: list[list[tuple[int, float]]] = [[] for _ in range(self.p)]
-        pre: list[list[int]] = [[] for _ in range(self.p)]
         out: list[list[int]] = [[] for _ in range(self.p)]
         for idx, (a, b, lam) in enumerate(self.edges):
             ine[b].append((a, lam))
-            pre[b].append(a)
             out[a].append(idx)
-        indeg = [len(x) for x in pre]
+        indeg = [len(x) for x in ine]
         ready = [v for v, d in enumerate(indeg) if not d]  # ascending, so a heap
         order = []
         while ready:
@@ -101,7 +99,6 @@ class ComputationGraph:
                 if not indeg[w]:
                     heapq.heappush(ready, w)
         object.__setattr__(self, "_in_edges", tuple(map(tuple, ine)))
-        object.__setattr__(self, "_predecessors", tuple(map(tuple, pre)))
         object.__setattr__(self, "_out_edges", tuple(map(tuple, out)))
         object.__setattr__(self, "_topo", tuple(order) if len(order) == self.p else None)
 
@@ -116,9 +113,6 @@ class ComputationGraph:
     @property
     def is_dag(self) -> bool:
         return self._topo is not None
-
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        return self._predecessors
 
     def topological_order(self) -> tuple[int, ...]:
         if self._topo is None:
@@ -372,23 +366,22 @@ def build_computation(
 
 
 def _warn_off_path(cg: ComputationGraph) -> None:
-    edges, out, pre = cg.edges, cg.out_edges(), cg.predecessors()
-    fed = set(cg.sources)  # reached from a source
-    stack = list(fed)
-    while stack:
-        for i in out[stack.pop()]:
-            y = edges[i][1]
-            if y not in fed:
-                fed.add(y)
-                stack.append(y)
-    drains = {cg.sink}  # reaches the sink
-    stack = [cg.sink]
-    while stack:
-        for y in pre[stack.pop()]:
-            if y not in drains:
-                drains.add(y)
-                stack.append(y)
-    off = [v for v in range(cg.p) if v not in fed or v not in drains]
+    edges, ine, out = cg.edges, cg.in_edges(), cg.out_edges()
+    order = cg.topological_order()
+    fed = [False] * cg.p  # reached from a source
+    for s in cg.sources:
+        fed[s] = True
+    for v in order:
+        if fed[v]:
+            for i in out[v]:
+                fed[edges[i][1]] = True
+    drains = [False] * cg.p  # reaches the sink
+    drains[cg.sink] = True
+    for v in reversed(order):
+        if drains[v]:
+            for a, _ in ine[v]:
+                drains[a] = True
+    off = [v for v in range(cg.p) if not (fed[v] and drains[v])]
     if off:
         warnings.warn(f"vertices {off} lie on no source-to-sink path")
 
@@ -582,10 +575,10 @@ def infer_layering(cg: ComputationGraph) -> LayeredStructure:
     """
     topo = cg.topological_order()
     layer = [1] * cg.p
-    pre = cg.predecessors()
+    ine = cg.in_edges()
     for v in topo:
-        if pre[v]:
-            layer[v] = max(layer[u] for u in pre[v]) + 1
+        if ine[v]:
+            layer[v] = max(layer[u] for u, _ in ine[v]) + 1
     ls = LayeredStructure(layer)
     validate_layering(cg, ls)
     return ls

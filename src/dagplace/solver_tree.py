@@ -1,7 +1,7 @@
 """Exact minimum-delay embedding for tree-shaped computation graphs.
 
 Every non-sink vertex of the computation graph must have exactly one
-successor (multiple predecessors are fine).  The dynamic program keeps, for
+successor (multiple in-edges are fine).  The dynamic program keeps, for
 each computation vertex w and each network node v, the best achievable delay
 of everything up to w's unique out-edge given that w's successor lands on v;
 backtracking from the pinned sink recovers the embedding.  Runs in O(p n^2).
@@ -25,7 +25,7 @@ def min_delay_tree(
     n = net.n
     d = dm.dist
     edges, out = cg.edges, cg.out_edges()  # a non-sink vertex has one out-edge
-    pre = cg.predecessors()
+    ine = cg.in_edges()
     order = cg.topological_order()
     pinned = pinned_images(cg, net)
 
@@ -40,7 +40,7 @@ def min_delay_tree(
             x[w] = np.full(n, pinned[w], dtype=np.int64)
         else:
             base = np.zeros(n)
-            for u in pre[w]:
+            for u, _ in ine[w]:
                 np.maximum(base, h[u], out=base)
             reach = base + cg.processing[w]
             table = reach[:, None] + lam * d
@@ -48,7 +48,7 @@ def min_delay_tree(
             h[w] = table[x[w], np.arange(n)]
 
     t = pinned[cg.sink]
-    total = max((h[u][t] for u in pre[cg.sink]), default=0.0) + cg.processing[cg.sink, t]
+    total = max((h[u][t] for u, _ in ine[cg.sink]), default=0.0) + cg.processing[cg.sink, t]
 
     asg = [0] * cg.p
     asg[cg.sink] = t

@@ -36,3 +36,14 @@ def test_summary_checks_each_end_to_end_bound():
     assert bench_pair.BOUNDS["wall_s"] == bench_pair.BOUNDS["setup_s"] == 0.25
     summary = bench_pair.summarize(runs)
     assert summary["within_bound"] == {"wall_s": True, "setup_s": False, "calls": None}
+
+
+def test_pair_ratio_tells_a_bimodal_metric_from_a_gap():
+    # the host runs fast (1) or slow (2); in four pairs both sides meet the
+    # same speed, in the third only the change meets the slow host, so the
+    # medians read 1 against 2 while four of five pairs are even
+    runs = [{"seed": s, "parent": side(setup_s=x, calls=0), "change": side(setup_s=y, calls=1)}
+            for s, x, y in zip(range(101, 106), (1, 1, 1, 2, 2), (1, 1, 2, 2, 2))]
+    summary = bench_pair.summarize(runs)
+    assert summary["ratio"]["setup_s"] == 2.0
+    assert summary["pair_ratio"] == {"setup_s": 1.0, "calls": None}

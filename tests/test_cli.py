@@ -323,6 +323,62 @@ def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys
     assert _one_error_line(_argv(command, str(bad), tmp_path), capsys) == 2
 
 
+def _first_edge(fixture, edge):
+    return _with(fixture, edges=[edge, *load_json(fx(fixture))["edges"][1:]])
+
+
+def _override(*ov):
+    return _with("prodsum_cg.json", processing={"default": 0.0, "overrides": [list(ov)]})
+
+
+_EMB = load_json(fx("prodsum_emb_delay.json"))["map"]
+
+
+@pytest.mark.parametrize("command, doc, line", [
+    ("validate-network", _first_edge("prodsum_net.json", ["s1", "zz", 10.0]),
+     "network: unknown node name 'zz'"),
+    ("validate-network", _first_edge("prodsum_net.json", [5, "a", 10.0]),
+     "network: unknown node name 5"),
+    ("validate-network", _with("prodsum_net.json", sources=["s1", "zz", "s3"]),
+     "network: unknown node name 'zz'"),
+    ("validate-network", _with("prodsum_net.json", sink="zz"), "network: unknown node name 'zz'"),
+    ("validate-network", _first_edge("prodsum_net.json", ["s1", "a"]),
+     "network: edge ['s1', 'a'] must be [u, v, weight]"),
+    ("validate-network", _first_edge("prodsum_net.json", ["s1", "a", "10"]),
+     "network edge weight: expected a number, got '10'"),
+    ("validate-network", _with("prodsum_net.json", edges={"s1": "a"}),
+     "network: 'edges' must be a list, got {'s1': 'a'}"),
+    ("validate-network", _with("prodsum_net.json", sources="s1"),
+     "network: 'sources' must be a list, got 's1'"),
+    ("validate", _first_edge("prodsum_cg.json", ["x1", "zz", 1.0]),
+     "computation: unknown vertex name 'zz'"),
+    ("validate", _first_edge("prodsum_cg.json", ["x1", None, 1.0]),
+     "computation: unknown vertex name None"),
+    ("validate", _with("prodsum_cg.json", sources=["x1", "zz", "x3"]),
+     "computation: unknown vertex name 'zz'"),
+    ("validate", _with("prodsum_cg.json", sink="zz"), "computation: unknown vertex name 'zz'"),
+    ("validate", _first_edge("prodsum_cg.json", ["x1", "sum12", 1.0, 1.0]),
+     "computation: edge ['x1', 'sum12', 1.0, 1.0] must be [u, v, weight]"),
+    ("validate", _first_edge("prodsum_cg.json", ["x1", "sum12", True]),
+     "computation edge weight: expected a number, got True"),
+    ("validate", _with("prodsum_cg.json", edges="x1"),
+     "computation: 'edges' must be a list, got 'x1'"),
+    ("validate", _with("prodsum_cg.json", sources={"x1": 1}),
+     "computation: 'sources' must be a list, got {'x1': 1}"),
+    ("validate", _override("zz", "*", 1.0), "computation: unknown vertex name 'zz'"),
+    ("validate", _override("zz", 0, 1.0), "computation: unknown vertex name 'zz'"),
+    ("eval", {"map": dict(_EMB, zz="t")}, "embedding: unknown computation vertex 'zz'"),
+    ("eval", {"map": dict(_EMB, x1="zz")}, "embedding: unknown network node 'zz'"),
+    ("eval", {"map": dict(_EMB, x1=5)}, "embedding: unknown network node 5"),
+])
+def test_graph_and_embedding_messages(command, doc, line, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_argv(command, str(bad), tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 WRONG_TYPES = (5, "x", [], {}, None)
 
 

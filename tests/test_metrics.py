@@ -230,6 +230,17 @@ class TestCapacityAware:
             (1, 2): [(0, 1, 2, 1, 2), (2, 1, 2, 2, 3), (3, 1, 2, 3, 4)],
         }
 
+    def test_negative_zero_source_fires_at_positive_zero(self):
+        # build_computation admits a -0.0 source row; both delays start the
+        # source at 0.0 + processing, so neither reports -0.0
+        net = build_network(2, [(0, 1, 1.0)], sources=(0,), sink=1)
+        cg = build_computation(2, [(0, 1, 1.0)], (0,), 1, [[-0.0, -0.0], [0.0, 1.0]])
+        dm, e = apsp(net), Embedding((0, 1))
+        rep, _ = capacity_aware_delay(cg, net, dm, e)
+        ideal = embedding_delay(cg, dm, e)
+        assert np.array(rep.per_vertex).tobytes() == np.array(ideal.per_vertex).tobytes()
+        assert rep.per_vertex == (0.0, 2.0) and not np.signbit(rep.per_vertex[0])
+
     def test_simultaneous_waiters_are_served_by_edge_index(self):
         # edge 2 holds hub link 3-4 over [0, 2]; edges 0 and 1 both reach it
         # at t=1 and wait, and edge 0 goes first though its tail node is higher

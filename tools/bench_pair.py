@@ -28,8 +28,10 @@ their difference, each run's end-to-end metrics and correctness, and per
 workload the quartiles of each metric on both sides, whether every run of a
 side was correct and how many jobs its runs failed in all, the ratio
 change/parent of the medians (below 1 is better: every metric is
-lower-is-better), the number of pairs the change won, the parent's spread
-(its interquartile range over its median) and whether the medians lie
+lower-is-better), the median over pairs of each pair's change/parent ratio
+(``pair_ratio``; None when a parent value is 0), which a bimodal metric can
+read far from the ratio of medians, the number of pairs the change won, the
+parent's spread (its interquartile range over its median) and whether the medians lie
 further apart than that range (``resolved``: a gap inside it is not told
 from noise) and, for the end-to-end metrics of BENCHMARK.json, whether the
 change's median is at most the parent's times one plus the metric's bound
@@ -122,6 +124,9 @@ def summarize(runs: list[dict]) -> dict:
         summary["failed"] = sum(r[side]["failed"] for r in runs)
     ratio = {m: sides["change"][m]["median"] / sides["parent"][m]["median"]
              if sides["parent"][m]["median"] else None for m in names}
+    pair_ratio = {m: statistics.median([r["change"]["metrics"][m] / r["parent"]["metrics"][m]
+                                        for r in runs])
+                  if all(r["parent"]["metrics"][m] for r in runs) else None for m in names}
     wins = {m: sum(r["change"]["metrics"][m] < r["parent"]["metrics"][m] for r in runs)
             for m in names}
     iqr = {m: sides["parent"][m]["q3"] - sides["parent"][m]["q1"] for m in names}
@@ -131,8 +136,9 @@ def summarize(runs: list[dict]) -> dict:
                 for m in names}
     within = {m: sides["change"][m]["median"] <= sides["parent"][m]["median"] * (1 + BOUNDS[m])
               if m in BOUNDS else None for m in names}
-    return {**sides, "ratio": ratio, "change_wins": wins, "parent_spread": spread,
-            "resolved": resolved, "within_bound": within, "pairs": len(runs)}
+    return {**sides, "ratio": ratio, "pair_ratio": pair_ratio, "change_wins": wins,
+            "parent_spread": spread, "resolved": resolved, "within_bound": within,
+            "pairs": len(runs)}
 
 
 def refused(wl: str, runs: list[dict]) -> list[str]:
