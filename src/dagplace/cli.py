@@ -475,6 +475,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.per_direction and args.metric != "capdelay":
+        raise ValidationError("--per-direction requires --metric capdelay")
     ndoc = load_network(args.network)
     cdoc = load_computation(args.computation, ndoc.net.n)
     _check_sources(ndoc, cdoc)

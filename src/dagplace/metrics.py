@@ -77,15 +77,34 @@ def validate_embedding(cg: ComputationGraph, net: NetworkGraph, e: Embedding) ->
         raise ValidationError("sink must map to the network sink")
 
 
-def embedding_cost(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> float:
-    """Total processing plus weighted shortest-path communication cost."""
+def _cost(cg: ComputationGraph, d: np.ndarray, asg):
+    """Cost of ``asg``: one embedding's images, or a block's rows of images
+    (row w the images of vertex w, one column per embedding)."""
     total = 0.0
     for w in range(cg.p):
-        total += cg.processing[w, e.assignment[w]]
-    d = dm.dist
+        total += cg.processing[w, asg[w]]
     for a, b, lam in cg.edges:
-        total += lam * d[e.assignment[a], e.assignment[b]]
-    return float(total)
+        total += lam * d[asg[a], asg[b]]
+    return total
+
+
+def embedding_cost(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> float:
+    """Total processing plus weighted shortest-path communication cost."""
+    return float(_cost(cg, dm.dist, e.assignment))
+
+
+def _finish_times(cg: ComputationGraph, d: np.ndarray, asg, larger) -> list:
+    """Completion time of every vertex under ``asg``, an assignment as in
+    ``_cost``; ``larger`` is ``max`` for one embedding, ``np.maximum`` for a
+    block."""
+    ine = cg.in_edges()
+    done = [0.0] * cg.p
+    for w in cg.topological_order():
+        arrive = 0.0
+        for a, lam in ine[w]:
+            arrive = larger(arrive, done[a] + lam * d[asg[a], asg[w]])
+        done[w] = arrive + cg.processing[w, asg[w]]
+    return done
 
 
 def embedding_delay(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> DelayReport:
@@ -96,16 +115,17 @@ def embedding_delay(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> D
     A vertex without in-edges starts at time zero, so a source, which has
     none and a zero processing row (``build_computation``), completes at zero.
     """
-    order = cg.topological_order()
-    ine = cg.in_edges()
-    d = dm.dist
-    done = [0.0] * cg.p
-    for w in order:
-        arrive = 0.0
-        for a, lam in ine[w]:
-            arrive = max(arrive, done[a] + lam * d[e.assignment[a], e.assignment[w]])
-        done[w] = float(arrive + cg.processing[w, e.assignment[w]])
-    return DelayReport(per_vertex=tuple(done), total=done[cg.sink])
+    done = tuple(map(float, _finish_times(cg, dm.dist, e.assignment, max)))
+    return DelayReport(per_vertex=done, total=done[cg.sink])
+
+
+def _check_total(value: float, expected: float, what: str) -> None:
+    """Self-check of a solver's reported value against its own optimum; an
+    explicit raise survives ``python -O``.  Equal values pass, two infinities
+    of one sign among them, and a NaN optimum is no mismatch."""
+    if (value != expected and expected == expected
+            and not abs(value - expected) < 1e-9 * max(1.0, abs(expected))):
+        raise RuntimeError(f"embedding value {value!r} differs from the {what} {expected!r}")
 
 
 def route_edges(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding):

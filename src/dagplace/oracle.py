@@ -3,10 +3,11 @@
 Embeddings run in lexicographic order of the free-vertex images, the first
 free vertex most significant (``itertools.product`` order), so they run in
 order of their assignment tuples.  They are scored in blocks of up to
-``BLOCK`` embeddings as arrays, each term added in the same order as
-``embedding_cost`` and ``embedding_delay`` add it, so every score is the same
-float.  A minimum keeps the first-found tie: the first one in its block, and a
-later block's only when strictly smaller.  Memory is bounded by one block.
+``BLOCK`` embeddings as arrays, by the very loops that ``embedding_cost`` and
+``embedding_delay`` run on one embedding (``metrics._cost`` and
+``metrics._finish_times``), so every score is the same float.  A minimum
+keeps the first-found tie: the first one in its block, and a later block's
+only when strictly smaller.  Memory is bounded by one block.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetExceeded
-from .metrics import DelayReport, Embedding, embedding_cost, embedding_delay
+from .metrics import DelayReport, Embedding, _cost, _finish_times, embedding_cost, embedding_delay
 from .model import ComputationGraph, DistanceMatrix, NetworkGraph, pinned_images
 from .solver_treewidth import DEFAULT_TABLE_BUDGET
 
@@ -70,17 +71,7 @@ def brute_force_min_cost(
     *,
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[Embedding, float]:
-    d = dm.dist
-
-    def cost(asg):
-        total = np.zeros(asg.shape[1])
-        for w in range(cg.p):
-            total += cg.processing[w, asg[w]]
-        for a, b, lam in cg.edges:
-            total += lam * d[asg[a], asg[b]]
-        return total
-
-    e = _argmin_over_blocks(_blocks(cg, net, budget), cost)
+    e = _argmin_over_blocks(_blocks(cg, net, budget), lambda asg: _cost(cg, dm.dist, asg))
     return e, embedding_cost(cg, dm, e)
 
 
@@ -91,17 +82,6 @@ def brute_force_min_delay(
     *,
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[Embedding, DelayReport]:
-    d = dm.dist
-
-    def delay(asg):
-        ine = cg.in_edges()
-        done: list = [0.0] * cg.p
-        for w in cg.topological_order():
-            arrive = np.zeros(asg.shape[1])
-            for a, lam in ine[w]:
-                np.maximum(arrive, done[a] + lam * d[asg[a], asg[w]], out=arrive)
-            done[w] = arrive + cg.processing[w, asg[w]]
-        return done[cg.sink]
-
-    e = _argmin_over_blocks(_blocks(cg, net, budget), delay)
+    e = _argmin_over_blocks(_blocks(cg, net, budget),
+                            lambda asg: _finish_times(cg, dm.dist, asg, np.maximum)[cg.sink])
     return e, embedding_delay(cg, dm, e)

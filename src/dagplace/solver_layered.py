@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DanglingEdit, NotLayered, ValidationError, WidthExceeded
-from .metrics import Embedding
+from .metrics import Embedding, _check_total, embedding_cost
 from .model import (
     ComputationGraph,
     DistanceMatrix,
@@ -67,9 +67,12 @@ class LayeredDPState:
 
 
 def _solve(cg, ls, pinned, dm, budget, known):
-    """Run the bag engine on the path decomposition of ``ls``; keep its messages."""
+    """Run the bag engine on the path decomposition of ``ls``; keep its messages.
+    The cost reported is ``embedding_cost`` of the embedding returned."""
     td = layered_path_decomposition(ls, cg)
-    e, cost, messages = _solve_bags(cg, td, pinned, dm, budget, known)
+    e, optimum, messages = _solve_bags(cg, td, pinned, dm, budget, known)
+    cost = embedding_cost(cg, dm, e)
+    _check_total(cost, optimum, "table optimum")
     return e, cost, LayeredDPState(cg=cg, ls=ls, dm=dm, pinned=tuple(sorted(pinned.items())),
                                    messages=messages, cost=cost, assignment=e.assignment)
 

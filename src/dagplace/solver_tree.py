@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotATree, PreconditionViolated
-from .metrics import DelayReport, Embedding, embedding_delay
+from .metrics import DelayReport, Embedding, _check_total, embedding_delay
 from .model import ComputationGraph, DistanceMatrix, NetworkGraph, check_tree, pinned_images
 
 
@@ -37,7 +37,6 @@ def min_delay_tree(
         lam = edges[out[w][0]][2]
         if w in pinned:  # a source; the sink was skipped above
             h[w] = lam * d[pinned[w]]
-            x[w] = np.full(n, pinned[w], dtype=np.int64)
         else:
             base = np.zeros(n)
             for u, _ in ine[w]:
@@ -50,12 +49,10 @@ def min_delay_tree(
     t = pinned[cg.sink]
     total = max((h[u][t] for u, _ in ine[cg.sink]), default=0.0) + cg.processing[cg.sink, t]
 
-    asg = [0] * cg.p
-    asg[cg.sink] = t
+    asg = [pinned.get(w, 0) for w in range(cg.p)]
     for w in reversed(order):
-        if w == cg.sink:
-            continue
-        asg[w] = int(x[w][asg[edges[out[w][0]][1]]])
+        if w not in pinned:
+            asg[w] = int(x[w][asg[edges[out[w][0]][1]]])
     e = Embedding(assignment=tuple(asg))
     report = embedding_delay(cg, dm, e)
     _check_total(report.total, total, "DP optimum")
@@ -77,9 +74,3 @@ def min_delay_collapse(
     bound = max(dm.dist[s, net.sink] for s in net.sources)
     _check_total(report.total, bound, "farthest-source bound")
     return e, report
-
-
-def _check_total(delay: float, expected: float, what: str) -> None:
-    """Self-check of a solver's answer; an explicit raise survives ``python -O``."""
-    if not abs(delay - expected) < 1e-9 * max(1.0, abs(expected)):
-        raise RuntimeError(f"embedding delay {delay!r} differs from the {what} {expected!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidDecomposition
-from .metrics import Embedding
+from .metrics import Embedding, _check_total, embedding_cost
 from .model import (
     ComputationGraph,
     DistanceMatrix,
@@ -318,7 +318,10 @@ def min_cost_treewidth(
     a decomposition built by hand or for another graph is judged here.
     Ties go to the lexicographically smallest assignment per bag, resolved
     root-down.  ``budget`` bounds the cells of the largest bag table, counting
-    only unpinned vertices.
+    only unpinned vertices.  The cost reported is ``embedding_cost`` of the
+    embedding returned.
     """
-    emb, cost, _ = _solve_bags(cg, td, pinned_images(cg, net), dm, budget, {})
+    emb, optimum, _ = _solve_bags(cg, td, pinned_images(cg, net), dm, budget, {})
+    cost = embedding_cost(cg, dm, emb)
+    _check_total(cost, optimum, "table optimum")
     return emb, cost

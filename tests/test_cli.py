@@ -191,6 +191,46 @@ def test_decomposition_is_refused_without_treewidth(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_per_direction_is_refused_without_capdelay(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["eval", "--metric", "cost", "--network", fx("fanin_net.json"), "--computation",
+            fx("fanin_cg.json"), "--embedding", fx("fanin_emb.json"), "--out", str(out),
+            "--per-direction"]
+    for metric in ("cost", "delay", "link-usage"):
+        argv[2] = metric
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --per-direction requires --metric capdelay\n"
+        assert not out.exists()
+    # refused before any file is read
+    assert main([a.replace("fanin_net.json", "missing.json") for a in argv]) == 2
+    assert capsys.readouterr().err == "error: --per-direction requires --metric capdelay\n"
+    argv[2] = "capdelay"
+    assert main(argv) == 0
+    assert "capdelay" in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("size", [1.0, 0.0])
+def test_overflowing_distances_solve_without_a_traceback(size, tmp_path, capsys):
+    # d(s, t) = 1e308 + 1e308 overflows to inf; a zero size times inf is NaN
+    net, cg = tmp_path / "net.json", tmp_path / "cg.json"
+    net.write_text(json.dumps({"nodes": ["s", "m", "t"], "sources": ["s"], "sink": "t",
+                               "edges": [["s", "m", 1e308], ["m", "t", 1e308]]}))
+    cg.write_text(json.dumps({"nodes": ["x", "f", "out"], "sources": ["x"], "sink": "out",
+                              "edges": [["x", "f", size], ["f", "out", 1.0]],
+                              "processing": {"default": 0}}))
+    for method, objective in cli._SOLVERS:
+        capsys.readouterr()
+        code = main(["solve", "--objective", objective, "--method", method, "--network",
+                     str(net), "--computation", str(cg), "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        if size == 0.0:
+            # collapse's precondition is unit sizes
+            assert code == (4 if method == "collapse" else 0), (method, err)
+        else:
+            key = "cost" if objective == "mincost" else "delay"
+            assert (code, err.splitlines()[-1]) == (0, f"{key} = inf"), method
+
 # name -> (bundled document, a command line that reads it); BAD stands for the
 # document under test, other *.json words for bundled files, STATE for the
 # state file of a layered solve of prodsum and OUT for an output file

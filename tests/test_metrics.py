@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     load_embedding_fixture,
@@ -18,7 +22,18 @@ from dagplace.metrics import (
     max_link_usage,
     validate_embedding,
 )
-from dagplace.model import apsp, build_computation, build_network
+from dagplace.model import apsp, build_computation, build_network, check_tree
+from dagplace.oracle import brute_force_min_cost, brute_force_min_delay
+from dagplace.solver_layered import apply_perturbations, min_cost_layered
+from dagplace.solver_tree import min_delay_collapse, min_delay_tree
+from dagplace.solver_treewidth import (
+    layered_path_decomposition,
+    min_cost_treewidth,
+    min_fill_decomposition,
+)
+from test_oracle import oracle_instances
+from test_solver_tree import in_trees
+from test_solver_treewidth import _FRACTIONS, _intra_layer_edits, layered_instances
 
 
 E_DELAY = load_embedding_fixture("prodsum", "emb_delay")  # the minimum-delay embedding
@@ -341,3 +356,45 @@ class TestValidateEmbedding:
             validate_embedding(cg, net, Embedding((3, 1, 2, 3, 5, 6, 7)))
         with pytest.raises(ValidationError):
             validate_embedding(cg, net, Embedding((0, 1, 2, 3, 5, 6, 6)))
+
+
+def _bytes(value):
+    return np.float64(value).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(layered_instances(_FRACTIONS),
+                 oracle_instances().map(lambda i: (i[0], None, i[1])),
+                 in_trees().map(lambda i: (i[0], None, i[1]))),
+       st.data())
+def test_property_every_solver_reports_its_embeddings_metric(instance, data):
+    # fractional sizes, weights and processing, so a value summed in any
+    # other order than the metric's shows in its bytes
+    cg, ls, net = instance
+    dm = apsp(net)
+    solves = [min_cost_treewidth(cg, min_fill_decomposition(cg), net, dm),
+              brute_force_min_cost(cg, net, dm)]
+    if ls is not None:
+        emb, cost, state = min_cost_layered(cg, ls, net, dm)
+        solves += [(emb, cost),
+                   min_cost_treewidth(cg, layered_path_decomposition(ls, cg), net, dm)]
+        if candidates := _intra_layer_edits(cg, ls):
+            (a, b), lay = data.draw(st.sampled_from(candidates))
+            edge = (a, b, data.draw(_FRACTIONS))
+            cg2 = build_computation(cg.p, cg.edges + (edge,), cg.sources, cg.sink, cg.processing)
+            emb2, cost2, _ = apply_perturbations(state, cg2, [(edge, lay)], dm)
+            assert _bytes(embedding_cost(cg2, dm, emb2)) == _bytes(cost2)
+    for emb, cost in solves:
+        assert _bytes(embedding_cost(cg, dm, emb)) == _bytes(cost)
+
+    delays = [(cg, brute_force_min_delay)]
+    if check_tree(cg):
+        # the same tree with unit sizes and no processing is in collapse's class
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a vertex without inputs, as in ``cg``
+            unit = build_computation(cg.p, [(a, b, 1.0) for a, b, _ in cg.edges],
+                                     cg.sources, cg.sink, np.zeros_like(cg.processing))
+        delays += [(cg, min_delay_tree), (unit, min_delay_collapse)]
+    for g, solver in delays:
+        emb, report = solver(g, net, dm)
+        assert _bytes(embedding_delay(g, dm, emb).total) == _bytes(report.total)
