@@ -93,10 +93,17 @@ def embedding_cost(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> fl
     return float(_cost(cg, dm.dist, e.assignment))
 
 
+def _larger(a, b):
+    """``np.maximum`` of two scalars: a NaN on either side wins, and of two
+    equal values (+0.0 and -0.0) the second.  Python's ``max`` would drop a
+    NaN that comes second."""
+    return a if a > b or a != a else b
+
+
 def _finish_times(cg: ComputationGraph, d: np.ndarray, asg, larger) -> list:
     """Completion time of every vertex under ``asg``, an assignment as in
-    ``_cost``; ``larger`` is ``max`` for one embedding, ``np.maximum`` for a
-    block."""
+    ``_cost``; ``larger`` is ``_larger`` for one embedding, ``np.maximum`` for
+    a block, so both propagate a NaN arrival alike."""
     ine = cg.in_edges()
     done = [0.0] * cg.p
     for w in cg.topological_order():
@@ -115,7 +122,7 @@ def embedding_delay(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> D
     A vertex without in-edges starts at time zero, so a source, which has
     none and a zero processing row (``build_computation``), completes at zero.
     """
-    done = tuple(map(float, _finish_times(cg, dm.dist, e.assignment, max)))
+    done = tuple(map(float, _finish_times(cg, dm.dist, e.assignment, _larger)))
     return DelayReport(per_vertex=done, total=done[cg.sink])
 
 

@@ -389,24 +389,33 @@ def _warn_off_path(cg: ComputationGraph) -> None:
 def apsp(net: NetworkGraph) -> DistanceMatrix:
     """Exact all-pairs shortest paths: ``dist[u, v]`` is the least
     left-to-right sum of link weights over the u->v paths (inf if none).
+    One of three branches computes it, each to the same floats.
 
     When every link weighs the same c, with 0 <= c < inf, the distances are
     hop levels (``_hop_levels``).  Every k-hop path then sums to the same
     L_k = (..(c + c) + ..) + c, and float addition is monotone, so L_k never
     falls as k grows: the least sum is L at the fewest hops.  That is the
     fixpoint the lock-step Dijkstra below reaches, bit for bit, also for
-    c = 0, for fractional c and where L_k overflows to inf.  A -0.0 link
-    (``build_network`` stores it as +0.0, so only in a ``NetworkGraph`` built
-    directly) keeps the Dijkstra, whose ``np.minimum`` carries the sign of zero.
+    c = 0, for fractional c and where L_k overflows to inf.
 
-    Every other network (mixed weights, or a NaN link built directly) takes
-    Dijkstra from every source in lock step.  ``dist`` starts as the link
-    weights with a zero diagonal.  Each of ``n - 2`` steps settles every
-    row's nearest unsettled node x and relaxes
+    When every link weight is a non-negative integer and their total is at
+    most 2**52, the distances come from Floyd-Warshall (``_floyd_warshall``).
+    Each finite value it forms is a sum of two path weights, each at most
+    the total, so it is an exact integer below 2**53, and each distance is
+    the exact least path weight.  The Dijkstra's left-to-right sums are
+    exact on such a network too, so both give the same floats.
+
+    Every other network takes Dijkstra from every source in lock step:
+    fractional weights, a total above 2**52 (links of 1e308, say), or a NaN
+    or -0.0 link (``build_network`` rejects NaN and stores -0.0 as +0.0, so
+    only in a ``NetworkGraph`` built directly; ``np.minimum`` carries NaN and
+    the sign of zero through).  It is the one branch whose floats are the
+    least left-to-right sums where sums round or overflow.  ``dist`` starts
+    as the link weights with a zero diagonal.  Each of ``n - 2`` steps
+    settles every row's nearest unsettled node x and relaxes
     ``dist[u] = min(dist[u], dist[u, x] + weight[x])``.  With non-negative
     weights and monotone float addition every distance is then the least
-    left-to-right path sum from the source: the one fixpoint the former
-    min-plus sweep also reached, bit for bit.  No paths are stored; see
+    left-to-right path sum from the source.  No paths are stored; see
     ``DistanceMatrix`` for the rule ``extract_path`` follows.
     """
     n = net.n
@@ -421,16 +430,28 @@ def apsp(net: NetworkGraph) -> DistanceMatrix:
         return DistanceMatrix(dist=_hop_levels(weight, c), weight=weight)
     dist = weight.copy()
     np.fill_diagonal(dist, 0.0)
-    rows = np.arange(n)
-    settled = np.where(np.eye(n, dtype=bool), np.inf, 0.0)  # inf: settled in that row
-    step = np.empty((n, n))
     with np.errstate(over="ignore"):  # a sum that overflows is inf, as it should be
+        if (w == np.floor(w)).all() and not np.signbit(w).any() and w.sum() <= 2**52:
+            return DistanceMatrix(dist=_floyd_warshall(dist), weight=weight)
+        rows = np.arange(n)
+        settled = np.where(np.eye(n, dtype=bool), np.inf, 0.0)  # inf: settled in that row
+        step = np.empty((n, n))
         for _ in range(n - 2):
             x = np.add(dist, settled, out=step).argmin(axis=1)
             settled[rows, x] = np.inf
             np.add(weight[x], dist[rows, x][:, None], out=step)
             np.minimum(dist, step, out=dist)  # unlike a ``<`` mask, it carries NaN through
     return DistanceMatrix(dist=dist, weight=weight)
+
+
+def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall in place on ``dist``, the link weights with a zero
+    diagonal: for each k in turn, ``dist = min(dist, dist[:, k] + dist[k])``,
+    the sums formed in one preallocated buffer."""
+    step = np.empty_like(dist)
+    for k in range(len(dist)):
+        np.minimum(dist, np.add(dist[:, k, None], dist[k], out=step), out=dist)
+    return dist
 
 
 def _hop_levels(weight: np.ndarray, c) -> np.ndarray:

@@ -9,10 +9,12 @@ backtracking from the pinned sink recovers the embedding.  Runs in O(p n^2).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NotATree, PreconditionViolated
-from .metrics import DelayReport, Embedding, _check_total, embedding_delay
+from .metrics import DelayReport, Embedding, _check_total, _larger, embedding_delay
 from .model import ComputationGraph, DistanceMatrix, NetworkGraph, check_tree, pinned_images
 
 
@@ -47,7 +49,8 @@ def min_delay_tree(
             h[w] = table[x[w], np.arange(n)]
 
     t = pinned[cg.sink]
-    total = max((h[u][t] for u, _ in ine[cg.sink]), default=0.0) + cg.processing[cg.sink, t]
+    total = functools.reduce(_larger, (h[u][t] for u, _ in ine[cg.sink]), 0.0)
+    total += cg.processing[cg.sink, t]
 
     asg = [pinned.get(w, 0) for w in range(cg.p)]
     for w in reversed(order):

@@ -47,3 +47,18 @@ def test_pair_ratio_tells_a_bimodal_metric_from_a_gap():
     summary = bench_pair.summarize(runs)
     assert summary["ratio"]["setup_s"] == 2.0
     assert summary["pair_ratio"] == {"setup_s": 1.0, "calls": None}
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_a_resolved_gap_and_a_lower_median():
+    # the parent reads 10..19 (quartiles 11.75, 14.5, 17.25: IQR 5.5); the
+    # change reads 10 lower where it wins a pair and 1 higher where it loses
+    runs = [{"seed": s, "parent": side(won_9=x, won_8=x, near=x, worse=x),
+             "change": side(won_9=x - 10 if i else x + 1,  # loses the first pair
+                            won_8=x - 10 if i > 1 else x + 1,  # loses two
+                            near=x - 5,  # wins all ten, a gap inside the IQR
+                            worse=x + 10)}
+            for i, (s, x) in enumerate(zip(range(101, 111), range(10, 20)))]
+    summary = bench_pair.summarize(runs)
+    assert summary["change_wins"] == {"won_9": 9, "won_8": 8, "near": 10, "worse": 0}
+    assert summary["resolved"] == {"won_9": True, "won_8": True, "near": False, "worse": True}
+    assert summary["claim_met"] == {"won_9": True, "won_8": False, "near": False, "worse": False}

@@ -16,6 +16,7 @@ from conftest import (
 from dagplace.errors import ValidationError
 from dagplace.metrics import (
     Embedding,
+    _larger,
     capacity_aware_delay,
     embedding_cost,
     embedding_delay,
@@ -130,6 +131,13 @@ class TestDelay:
                 assert rep.per_vertex[s] == 0
             for a, b, _ in cg.edges:
                 assert rep.per_vertex[b] >= rep.per_vertex[a]
+
+    def test_one_embedding_takes_the_maximum_as_a_block_does(self):
+        # a NaN on either side wins, and of +0.0 and -0.0 the second
+        values = [np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
+        for a in map(np.float64, values):
+            for b in map(np.float64, values):
+                assert np.float64(_larger(a, b)).tobytes() == np.maximum(a, b).tobytes(), (a, b)
 
     def test_delay_at_most_cost(self):
         rng = np.random.default_rng(3)

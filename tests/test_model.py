@@ -356,12 +356,16 @@ class TestApsp:
         assert d.tobytes() == reference_apsp(net)[0].tobytes()
         assert_networkx_distances(net, d)
 
-    @pytest.mark.parametrize("n, den, seed", [(64, 7, 1), (150, 10, 2), (200, 7, 3)])
+    @pytest.mark.parametrize("n, den, seed", [(64, 7, 1), (150, 10, 2), (200, 7, 3),
+                                              (64, 1, 4), (150, 1, 5), (200, 1, 6)])
     def test_large_networks_match_reference_dijkstra(self, n, den, seed):
-        # sparse, so shortest paths run over many links of fractional weight
+        # sparse, so shortest paths run over many links of fractional weight,
+        # or of integer weight (zeros included) through Floyd-Warshall
         net = random_network(n, 4 / n, seed, "randint", weight_range=(0, 9))
         net = build_network(n, [(a, b, wt / den) for a, b, wt in net.edges])
-        assert apsp(net).dist.tobytes() == reference_apsp(net)[0].tobytes()
+        dm, branch = _apsp_branch(net)
+        assert branch == ("fw" if den == 1 else "dijkstra")
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
 
     def test_unreachable_node_has_no_path(self):
         # NetworkGraph built directly, past build_network's connectivity
@@ -383,7 +387,8 @@ class TestApsp:
         net = build_network(3, [(0, 1, 1e308), (1, 2, 1e307)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dm = apsp(net)
+            dm, branch = _apsp_branch(net)
+        assert branch == "dijkstra"  # integers, but the total is past 2**52
         assert dm.dist[0, 2] == 1e308 + 1e307
         assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
 
@@ -611,23 +616,26 @@ class TestGreedyRoutes:
         assert tree.called
 
 
-def _apsp_branch(net) -> tuple[DistanceMatrix, bool]:
-    """``apsp(net)`` and whether it took the hop levels."""
-    with mock.patch.object(model, "_hop_levels", wraps=model._hop_levels) as hop:
+def _apsp_branch(net) -> tuple[DistanceMatrix, str]:
+    """``apsp(net)`` and the branch it took: "hop" (the hop levels), "fw"
+    (Floyd-Warshall) or "dijkstra" (the lock-step loop)."""
+    with (mock.patch.object(model, "_hop_levels", wraps=model._hop_levels) as hop,
+          mock.patch.object(model, "_floyd_warshall", wraps=model._floyd_warshall) as fw):
         dm = apsp(net)
-    return dm, hop.called
+    return dm, "hop" if hop.called else "fw" if fw.called else "dijkstra"
 
 
 class TestHopLevels:
     """A network whose links all weigh one c, 0 <= c < inf, takes breadth-first
-    hop levels instead of the lock-step Dijkstra, with the same floats; every
-    other network keeps the Dijkstra."""
+    hop levels, with the lock-step Dijkstra's floats.  A network of integer
+    weights takes Floyd-Warshall (``TestFloydWarshall``); every other one
+    keeps the Dijkstra."""
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(one_weight_networks())
     def test_property_hop_levels_equal_the_reference(self, net):
-        dm, hop = _apsp_branch(net)
-        assert hop
+        dm, branch = _apsp_branch(net)
+        assert branch == "hop"
         assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
         assert_networkx_distances(net, dm.dist)
 
@@ -639,36 +647,89 @@ class TestHopLevels:
         load_fixture("loop")[1],
     ], ids=["one-node", "chain", "fanin", "loop"])
     def test_one_weight_networks_take_hop_levels(self, net):
-        dm, hop = _apsp_branch(net)
-        assert hop
+        dm, branch = _apsp_branch(net)
+        assert branch == "hop"
         assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
 
     def test_unreachable_pairs_stay_inf(self):
         # NetworkGraph built directly, past build_network's connectivity check
         net = NetworkGraph(n=5, edges=((0, 1, 2.0), (1, 2, 2.0), (3, 4, 2.0)))
-        dm, hop = _apsp_branch(net)
-        assert hop
+        dm, branch = _apsp_branch(net)
+        assert branch == "hop"
         assert dm.dist[0, 2] == 4.0 and (dm.dist[:3, 3:] == np.inf).all()
         assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
 
     def test_negative_zero_weights_are_stored_as_zero(self):
         net = build_network(3, [(0, 1, -0.0), (1, 2, -0.0)])
         assert not any(np.signbit(w) for _, _, w in net.edges)
-        dm, hop = _apsp_branch(net)
-        assert hop
+        dm, branch = _apsp_branch(net)
+        assert branch == "hop"
         assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
 
     @pytest.mark.parametrize("edges, d02", [
-        (((0, 1, 1.0), (1, 2, 2.0)), 3.0),  # mixed weights
+        (((0, 1, 1.0), (1, 2, 2.5)), 3.5),  # mixed weights, one fractional
         (((0, 1, 1.0), (1, 2, np.nan)), np.nan),
         (((0, 1, np.nan), (1, 2, np.nan)), np.nan),
         (((0, 1, -0.0), (1, 2, -0.0)), 0.0),  # np.minimum carries the sign of zero
         (((0, 1, 0.0), (1, 2, -0.0)), 0.0),
-    ], ids=["mixed", "one-nan", "all-nan", "negative-zero", "mixed-zeros"])
+        (((0, 1, 2.0**52), (1, 2, 1.0)), 2.0**52 + 1),  # integers, but a total past 2**52
+        (((0, 1, 1.5e308), (1, 2, 1.7e308)), np.inf),  # a total that overflows
+    ], ids=["mixed-fractional", "one-nan", "all-nan", "negative-zero", "mixed-zeros",
+            "total-past-2**52", "total-overflows"])
     def test_other_networks_keep_the_lock_step_loop(self, edges, d02):
-        dm, hop = _apsp_branch(NetworkGraph(n=3, edges=edges))
-        assert not hop
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dm, branch = _apsp_branch(NetworkGraph(n=3, edges=edges))
+        assert branch == "dijkstra"
         assert np.array_equal(dm.dist[0, 2], d02, equal_nan=True)
+
+
+@st.composite
+def integer_networks(draw):
+    """Connected networks of 1-14 nodes, sparse or dense (``_draw_links``),
+    whose weights are k times 1, 2**40 + 1 or 2**50 + 3 for k in 0..9: zeros
+    included, and totals on both sides of 2**52."""
+    n = draw(st.integers(1, 14))
+    scale = draw(st.sampled_from((1, 2**40 + 1, 2**50 + 3)))
+    links = _draw_links(draw, n)
+    ks = draw(st.lists(st.integers(0, 9), min_size=len(links), max_size=len(links)))
+    return build_network(n, [(u, v, float(k * scale)) for (u, v), k in zip(links, ks)])
+
+
+class TestFloydWarshall:
+    """A network whose links weigh non-negative integers, not all one, with a
+    total of at most 2**52 takes Floyd-Warshall, with the lock-step
+    Dijkstra's floats."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(integer_networks())
+    def test_property_integer_networks_equal_the_reference(self, net):
+        weights = [w for _, _, w in net.edges]
+        dm, branch = _apsp_branch(net)
+        assert branch == ("hop" if len(set(weights)) <= 1 else
+                          "fw" if sum(weights) <= 2**52 else "dijkstra")
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
+        assert_networkx_distances(net, dm.dist)
+
+    @pytest.mark.parametrize("edges, d02", [
+        (((0, 1, 1.0), (1, 2, 2.0)), 3.0),
+        (((0, 1, 0.0), (1, 2, 5.0)), 5.0),
+        (((0, 1, 2.0**52 - 1), (1, 2, 1.0)), 2.0**52),  # the largest total it takes
+    ], ids=["mixed-integers", "zero-and-five", "total-2**52"])
+    def test_integer_networks_take_floyd_warshall(self, edges, d02):
+        net = NetworkGraph(n=3, edges=edges)
+        dm, branch = _apsp_branch(net)
+        assert branch == "fw"
+        assert dm.dist[0, 2] == d02
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
+
+    def test_unreachable_pairs_stay_inf(self):
+        # NetworkGraph built directly, past build_network's connectivity check
+        net = NetworkGraph(n=5, edges=((0, 1, 2.0), (1, 2, 3.0), (3, 4, 0.0)))
+        dm, branch = _apsp_branch(net)
+        assert branch == "fw"
+        assert dm.dist[0, 2] == 5.0 and (dm.dist[:3, 3:] == np.inf).all()
+        assert dm.dist.tobytes() == reference_apsp(net)[0].tobytes()
 
 
 class TestLayering:

@@ -35,10 +35,12 @@ parent's spread (its interquartile range over its median) and whether the median
 further apart than that range (``resolved``: a gap inside it is not told
 from noise) and, for the end-to-end metrics of BENCHMARK.json, whether the
 change's median is at most the parent's times one plus the metric's bound
-(``within_bound``; None for other metrics), next to the seeds and the host
-(python, numpy, nproc).  The script exits 1, after writing the
-file, when a change run is not correct or fails more jobs than the parent run
-of its pair.
+(``within_bound``; None for other metrics), and whether a gain may be
+claimed on the metric (``claim_met``: the change won at least nine tenths of
+the pairs, the gap is ``resolved`` and the change's median is the lower),
+next to the seeds and the host (python, numpy, nproc).  The script exits 1,
+after writing the file, when a change run is not correct or fails more jobs
+than the parent run of its pair.
 """
 
 from __future__ import annotations
@@ -136,9 +138,11 @@ def summarize(runs: list[dict]) -> dict:
                 for m in names}
     within = {m: sides["change"][m]["median"] <= sides["parent"][m]["median"] * (1 + BOUNDS[m])
               if m in BOUNDS else None for m in names}
+    claim = {m: 10 * wins[m] >= 9 * len(runs) and resolved[m]
+             and sides["change"][m]["median"] < sides["parent"][m]["median"] for m in names}
     return {**sides, "ratio": ratio, "pair_ratio": pair_ratio, "change_wins": wins,
             "parent_spread": spread, "resolved": resolved, "within_bound": within,
-            "pairs": len(runs)}
+            "claim_met": claim, "pairs": len(runs)}
 
 
 def refused(wl: str, runs: list[dict]) -> list[str]:
