@@ -34,7 +34,7 @@ number types) before using it, so a wrong-shaped document exits 2 with one
 ``error:`` line, never a traceback.  A number is a finite JSON int or float
 that fits a double, so NaN, Infinity and a 400-digit integer exit 2 as well.
 A state file holds no solver tables, so loading one runs no code; ``perturb``
-re-solves it to rebuild them.  Exit codes: 0 ok, 2 validation error, 3 budget
+solves the edited graph afresh.  Exit codes: 0 ok, 2 validation error, 3 budget
 exceeded, 4 solver precondition failure.
 A warning that the active filters let through is one ``warning:`` line on stderr.
 """
@@ -75,7 +75,7 @@ from .model import (
     infer_layering,
 )
 from .oracle import brute_force_min_cost, brute_force_min_delay
-from .solver_layered import apply_perturbations, min_cost_layered
+from .solver_layered import min_cost_layered, perturbed_layering
 from .solver_tree import min_delay_collapse, min_delay_tree
 from .solver_treewidth import (
     DEFAULT_TABLE_BUDGET,
@@ -354,7 +354,7 @@ def embedding_to_json(e: Embedding, cdoc: ComputationDoc, ndoc: NetworkDoc, **ex
 
 
 def load_edits(doc: dict, cdoc: ComputationDoc):
-    """Returns (edits for apply_perturbations, extended ComputationDoc)."""
+    """Returns (edits for perturbed_layering, extended ComputationDoc)."""
     _require_fields(doc, ("adds",), what="edits")
     names = list(cdoc.names)
     ids = {name: i for i, name in enumerate(names)}
@@ -386,13 +386,13 @@ def load_edits(doc: dict, cdoc: ComputationDoc):
     return edits, ComputationDoc(names, cg2)
 
 
-def save_state(path, state, ndoc: NetworkDoc, cdoc: ComputationDoc) -> None:
-    """Write the inputs of the layered solve ``state`` as a state document."""
+def save_state(path, ls: LayeredStructure, ndoc: NetworkDoc, cdoc: ComputationDoc) -> None:
+    """Write the inputs of a layered solve on the layering ``ls`` as a state document."""
     _write_json(path, {
         "format_version": STATE_FORMAT_VERSION,
         "network": ndoc.to_json(),
         "computation": cdoc.to_json(),
-        "layer": list(state.layer),
+        "layer": list(ls.layer),
     })
 
 
@@ -427,24 +427,24 @@ def _write_json(path, doc) -> None:
 
 
 def _delay(emb, report):
-    return emb, report.total, None
+    return emb, report.total
 
 
 # (method, objective) -> solver of (cg, net, dm, td, budget) giving (embedding,
-# value, layered state or None); each looks its solver up by name when called
+# value); each looks its solver up by name when called
 _SOLVERS = {
     ("tree", "mindelay"):
         lambda cg, net, dm, td, budget: _delay(*min_delay_tree(cg, net, dm)),
     ("layered", "mincost"):
         lambda cg, net, dm, td, budget: min_cost_layered(
-            cg, infer_layering(cg), net, dm, budget=budget),
+            cg, infer_layering(cg), net, dm, budget=budget)[:2],
     ("treewidth", "mincost"):
-        lambda cg, net, dm, td, budget: (*min_cost_treewidth(
-            cg, td or min_fill_decomposition(cg), net, dm, budget=budget), None),
+        lambda cg, net, dm, td, budget: min_cost_treewidth(
+            cg, td or min_fill_decomposition(cg), net, dm, budget=budget),
     ("collapse", "mindelay"):
         lambda cg, net, dm, td, budget: _delay(*min_delay_collapse(cg, net, dm)),
     ("oracle", "mincost"):
-        lambda cg, net, dm, td, budget: (*brute_force_min_cost(cg, net, dm, budget=budget), None),
+        lambda cg, net, dm, td, budget: brute_force_min_cost(cg, net, dm, budget=budget),
     ("oracle", "mindelay"):
         lambda cg, net, dm, td, budget: _delay(*brute_force_min_delay(cg, net, dm, budget=budget)),
 }
@@ -463,13 +463,13 @@ def _cmd_solve(args) -> int:
     if args.state_out is not None and method != "layered":
         raise ValidationError("--state-out requires --method layered")
     td = load_decomposition(load_json(args.decomposition), cdoc) if args.decomposition else None
-    emb, value, state = solve(cdoc.cg, ndoc.net, apsp(ndoc.net), td, args.budget)
+    emb, value = solve(cdoc.cg, ndoc.net, apsp(ndoc.net), td, args.budget)
     key = "cost" if objective == "mincost" else "delay"
     out = embedding_to_json(emb, cdoc, ndoc, objective=objective, method=method,
                             **{key: value})
     _write_json(args.out, out)
     if args.state_out is not None:
-        save_state(args.state_out, state, ndoc, cdoc)
+        save_state(args.state_out, infer_layering(cdoc.cg), ndoc, cdoc)
     print(f"{key} = {value!r}", file=sys.stderr)
     return EXIT_OK
 
@@ -519,15 +519,14 @@ def _cmd_perturb(args) -> int:
     ndoc, cdoc, ls = load_state(args.state)
     edits, cdoc2 = load_edits(load_json(args.edits), cdoc)
     dm = apsp(ndoc.net)
-    # re-solve for the messages of the bags the re-plan skips; --budget judges
-    # the re-plan, as a state file's solve already passed a budget of its own
-    budget = max(args.budget, DEFAULT_TABLE_BUDGET)
-    _, _, state = min_cost_layered(cdoc.cg, ls, ndoc.net, dm, budget=budget)
-    emb, cost, new_state = apply_perturbations(state, cdoc2.cg, edits, dm,
-                                               budget=args.budget)
+    ls2 = perturbed_layering(cdoc.cg, ls, cdoc2.cg, edits)
+    # --budget judges the edited graph's solve; with no edits that graph is the
+    # stored one, whose solve already passed a budget of its own
+    budget = args.budget if edits else max(args.budget, DEFAULT_TABLE_BUDGET)
+    emb, cost, _ = min_cost_layered(cdoc2.cg, ls2, ndoc.net, dm, budget=budget)
     _write_json(args.out, embedding_to_json(emb, cdoc2, ndoc, cost=cost))
     if args.state_out:
-        save_state(args.state_out, new_state, ndoc, cdoc2)
+        save_state(args.state_out, ls2, ndoc, cdoc2)
     print(f"cost = {cost!r}", file=sys.stderr)
     return EXIT_OK
 

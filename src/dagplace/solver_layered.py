@@ -94,43 +94,27 @@ def min_cost_layered(
     return _solve(cg, ls, pinned_images(cg, net), dm, budget, {})
 
 
-def apply_perturbations(
-    state: LayeredDPState,
-    cg2: ComputationGraph,
-    edits,
-    dm: DistanceMatrix,
-    *,
-    budget: int = DEFAULT_TABLE_BUDGET,
-) -> tuple[Embedding, float, LayeredDPState]:
-    """Re-plan after adding edges (and possibly vertices) to the solved graph.
-
-    ``edits`` is a list of ((tail, head, weight), layer) pairs describing the
-    additions already present in ``cg2``; new vertices use ids >= the original
-    vertex count and the edit's ``layer`` places them.  For an edit between
-    two existing vertices the layer must match the edge's tail (or head, for
-    a layer-crossing edge entering it); ``cg2`` keeps the roles and processing
-    rows of the original vertices.  The re-plan is a fresh solve of ``cg2``
-    that takes the state's message of every bag whose inputs are unchanged,
-    so it gives a fresh solve's result; a ``dm`` other than the state's
-    rebuilds every bag.
-    """
-    cg = state.cg
+def perturbed_layering(cg: ComputationGraph, ls: LayeredStructure,
+                       cg2: ComputationGraph, edits) -> LayeredStructure:
+    """The layering of ``cg2``, which is ``cg`` (layered by ``ls``) plus ``edits``,
+    its ((tail, head, weight), layer) additions.  A new vertex has an id >= ``cg.p``
+    and takes its edit's layer; an edit between two old vertices names the layer
+    of its tail (or head, for a layer-crossing edge entering it).  ``cg2`` keeps
+    the roles and processing rows of ``cg``'s vertices.  Checks ``ls`` first."""
+    validate_layering(cg, ls)
     old_edges = set(cg.edges)
     edited = {(int(a), int(b), float(lam)) for (a, b, lam), _ in edits}
     if (set(cg2.edges) != old_edges | edited or old_edges & edited
             or (cg2.sources, cg2.sink) != (cg.sources, cg.sink)
             or not np.array_equal(cg2.processing[: cg.p], cg.processing)):
         raise ValidationError("edited graph must equal the original plus the listed edits")
-    if not edits:
-        return Embedding(state.assignment), state.cost, state
-
-    layer = list(state.layer) + [0] * (cg2.p - state.p)
+    layer = list(ls.layer) + [0] * (cg2.p - cg.p)
     for (a, b, lam), lay in edits:
-        new_a, new_b = a >= state.p, b >= state.p
+        new_a, new_b = a >= cg.p, b >= cg.p
         if new_a and new_b:
             raise DanglingEdit(f"edge ({a},{b}) has no endpoint in the original graph")
-        if not 1 <= lay <= state.r:
-            raise NotLayered(f"edit layer {lay} outside 1..{state.r}")
+        if not 1 <= lay <= ls.r:
+            raise NotLayered(f"edit layer {lay} outside 1..{ls.r}")
         if new_a or new_b:
             w = a if new_a else b
             if layer[w] and layer[w] != lay:
@@ -142,9 +126,30 @@ def apply_perturbations(
         raise DanglingEdit("a new vertex was added without any edit naming it")
 
     ls2 = LayeredStructure(layer)
-    if ls2.k > state.ls.k:
+    if ls2.k > ls.k:
         raise WidthExceeded(
-            f"a layer of {ls2.k} vertices exceeds the original bound k={state.ls.k}")
+            f"a layer of {ls2.k} vertices exceeds the original bound k={ls.k}")
     validate_layering(cg2, ls2)
+    return ls2
+
+
+def apply_perturbations(
+    state: LayeredDPState,
+    cg2: ComputationGraph,
+    edits,
+    dm: DistanceMatrix,
+    *,
+    budget: int = DEFAULT_TABLE_BUDGET,
+) -> tuple[Embedding, float, LayeredDPState]:
+    """Re-plan after adding edges (and possibly vertices) to the solved graph.
+
+    ``perturbed_layering`` checks ``cg2`` and ``edits``.  The re-plan is a
+    fresh solve of ``cg2`` that takes the state's message of every bag whose
+    inputs are unchanged, so it gives a fresh solve's result and pays only for
+    the other bags; a ``dm`` other than the state's rebuilds every bag.
+    """
+    ls2 = perturbed_layering(state.cg, state.ls, cg2, edits)
+    if not edits:
+        return Embedding(state.assignment), state.cost, state
     known = state.messages if dm is state.dm else {}
     return _solve(cg2, ls2, dict(state.pinned), dm, budget, known)

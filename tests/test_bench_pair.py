@@ -62,3 +62,26 @@ def test_claim_needs_nine_tenths_of_the_pairs_a_resolved_gap_and_a_lower_median(
     assert summary["change_wins"] == {"won_9": 9, "won_8": 8, "near": 10, "worse": 0}
     assert summary["resolved"] == {"won_9": True, "won_8": True, "near": False, "worse": True}
     assert summary["claim_met"] == {"won_9": True, "won_8": False, "near": False, "worse": False}
+
+
+def test_attempted_jobs_sit_beside_peak_rss_and_flag_a_gap_they_explain():
+    # the peak RSS rises with the jobs a run fits: about 41.3 MB at 9,700 jobs
+    # and 40.6 MB at 9,500, whichever side ran
+    def runs(parent_jobs, change_jobs):
+        return [{"seed": s,
+                 "parent": dict(side(peak_rss_mb=40.6 + (p - 9500) / 285, wall_s=1.0), attempted=p),
+                 "change": dict(side(peak_rss_mb=40.6 + (c - 9500) / 285, wall_s=1.0), attempted=c)}
+                for s, p, c in zip(range(101, 106), parent_jobs, change_jobs)]
+
+    parent_jobs = (9500, 9510, 9520, 9530, 9540)  # quartiles 9505, 9520, 9535: IQR 30
+    faster = bench_pair.summarize(runs(parent_jobs, (9690, 9700, 9710, 9720, 9730)))
+    assert faster["parent"]["attempted"] == {"q1": 9505, "median": 9520, "q3": 9535}
+    assert faster["change"]["attempted"]["median"] == 9710
+    assert faster["resolved"]["peak_rss_mb"] is True
+    assert faster["rss_follows_jobs"] is True
+    # a gap in jobs of exactly the parent's IQR is not flagged
+    even = bench_pair.summarize(runs(parent_jobs, (9530, 9540, 9550, 9560, 9570)))
+    assert even["rss_follows_jobs"] is False
+    # no flag where no run reads its peak RSS
+    assert bench_pair.summarize([{"seed": 101, "parent": side(wall_s=1.0),
+                                  "change": side(wall_s=1.0)}])["rss_follows_jobs"] is None

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dagplace.solver_layered
 from conftest import fixture_path as fx
 from dagplace import cli
 from dagplace.cli import ComputationDoc, NetworkDoc, load_edits, load_json, main
@@ -717,6 +718,47 @@ def test_perturb_budget_judges_the_replan(tmp_path, capsys):
             "--budget", "1", "--edits"]
     assert main(argv + [str(tmp_path / "none.json")]) == 0  # nothing to re-plan
     assert _one_error_line(argv + [fx("prodsum_edits.json")], capsys) == 3
+
+
+def test_perturb_builds_the_bag_tables_once(tmp_path, monkeypatch):
+    state = _state(tmp_path)
+    solves = []
+
+    def spy(*args):
+        solves.append(args[1])  # the decomposition solved
+        return solve_bags(*args)
+
+    solve_bags = dagplace.solver_layered._solve_bags
+    monkeypatch.setattr(dagplace.solver_layered, "_solve_bags", spy)
+    assert main(["perturb", "--state", state, "--edits", fx("prodsum_edits.json"),
+                 "--out", str(tmp_path / "o.json")]) == 0
+    # one solve, of the edited graph: tap (7) joins prod (5) on layer 3
+    assert [td.bags for td in solves] == [((0, 1, 2, 3, 4), (3, 4, 5, 7), (5, 6, 7))]
+
+
+def test_perturb_checks_the_edits_before_the_budget(tmp_path, capsys):
+    # layers 2 and 3 hold two free vertices each, so one bag table has
+    # 60**4 > 10**7 cells; no table is built before the budget check
+    names = [f"v{i}" for i in range(60)]
+    net = {"nodes": names, "edges": [[a, b, 1.0] for a, b in zip(names, names[1:])],
+           "sources": ["v0"], "sink": "v59"}
+    cg = {"nodes": ["s", "a", "b", "c", "d", "t"],
+          "edges": [["s", "a", 1.0], ["s", "b", 1.0], ["a", "c", 1.0], ["b", "d", 1.0],
+                    ["c", "t", 1.0], ["d", "t", 1.0]],
+          "sources": ["s"], "sink": "t", "processing": {"default": 1.0}}
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"format_version": 3, "network": net, "computation": cg,
+                                 "layer": [1, 2, 2, 3, 3, 4]}))
+    argv = ["perturb", "--state", str(state), "--out", str(tmp_path / "o.json"), "--edits"]
+    for edge, layer, code, message in (
+        (["c", "tap", 1.0], 9, 4, "error: edit layer 9 outside 1..4\n"),
+        (["a", "d", 1.0], 2, 3,
+         f"error: bag table of {60 ** 4} cells exceeds the budget of 10000000\n"),
+    ):
+        (tmp_path / "edits.json").write_text(
+            json.dumps({"adds": [{"edge": edge, "layer": layer}]}))
+        assert main(argv + [str(tmp_path / "edits.json")]) == code
+        assert capsys.readouterr().err == message
 
 
 def test_binary_network_file_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from dagplace.errors import MaxResamplesExceeded, NegativeWeight
 from dagplace.harness import (
     ExperimentConfig,
     StatsTable,
+    _rng,
     experiment_k2_gap,
     experiment_link_usage,
     random_binary_tree_cg,
@@ -230,3 +231,39 @@ class TestExperiments:
 def test_stats_table_csv_round_trip_floats():
     t = StatsTable(columns=("a", "b"), rows=((0.1, 2),))
     assert t.to_csv() == "a,b\n0.1,2\n"
+
+
+# Every draw the studies make, from generators seeded as the studies seed them
+# (one spawned SeedSequence per draw, so a changed method fails alone).  NEP 19
+# keeps the bit generators' raw streams stable across numpy releases, but not
+# the Generator methods that transform them.
+_DRAWS = [  # (test id, where the studies draw it, draw, pinned values)
+    ("random", "random_network's links", lambda g: g.random(4).tolist(),
+     [0.8815889077323412, 0.23981099858455435, 0.11746826691484324, 0.214337537546487]),
+    ("integers-size", "random_network's weights, random_layered_cg's processing",
+     lambda g: g.integers(1, 6, size=6).tolist(), [4, 2, 4, 5, 3, 5]),
+    ("integers-scalar", "random_binary_tree_cg's processing, random_layered_cg's widths",
+     lambda g: [int(g.integers(1, 11)) for _ in range(6)], [2, 10, 6, 10, 9, 3]),
+    ("choice-range-60", "_place_roles at n = 60",
+     lambda g: g.choice(60, size=4, replace=False).tolist(), [53, 32, 20, 21]),
+    ("choice-range-5", "_place_roles at n = 5",
+     lambda g: g.choice(5, size=3, replace=False).tolist(), [3, 1, 0]),
+    ("choice-list", "random_layered_cg's feeds",
+     lambda g: g.choice([3, 4, 5, 6], size=3, replace=False).tolist(), [3, 5, 6]),
+    ("choice-one", "random_layered_cg's extra links and weights",
+     lambda g: [g.choice([7, 8, 9]).item() for _ in range(5)]
+     + [g.choice((1.0,)).item(), g.choice((1.0, 2.0)).item()],
+     [7, 7, 8, 7, 8, 1.0, 2.0]),
+]
+
+
+@pytest.mark.parametrize("key, where, draw, pinned",
+                         [(i, *d[1:]) for i, d in enumerate(_DRAWS)], ids=[d[0] for d in _DRAWS])
+def test_numpy_draws_of_the_studies_are_pinned(key, where, draw, pinned):
+    got = draw(_rng(20140, key))
+    assert got == pinned, (
+        f"{where}: numpy {np.__version__} draws {got}, but the desk CSV, the k2-gap "
+        f"counts and the perfbench references were recorded with draws giving {pinned}. "
+        "NEP 19 lets a numpy release change how Generator methods transform the bit "
+        "stream, so if only numpy changed, the study outputs change with it."
+    )

@@ -18,7 +18,7 @@ from dagplace.model import (
     infer_layering,
 )
 from dagplace.oracle import brute_force_min_cost
-from dagplace.solver_layered import apply_perturbations, min_cost_layered
+from dagplace.solver_layered import apply_perturbations, min_cost_layered, perturbed_layering
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import CostReplan  # noqa: E402
@@ -149,6 +149,7 @@ class TestPerturbations:
             if out is None:
                 continue
             state, cg2, edits, ls2, pnet, dm = out
+            assert perturbed_layering(state.cg, state.ls, cg2, edits).layer == ls2.layer
             emb2, cost2, state2 = apply_perturbations(state, cg2, edits, dm)
             emb3, cost3, state3 = min_cost_layered(cg2, ls2, pnet, dm)
             assert cost2 == cost3
@@ -165,6 +166,15 @@ class TestPerturbations:
         )
         with pytest.raises(DanglingEdit):
             apply_perturbations(state, cg2, [((7, 8, 1.0), 3), ((5, 7, 1.0), 3)], dm)
+
+    def test_new_vertex_without_an_edit_is_dangling_with_no_edits_too(self):
+        cg, net, dm, (_, _, state) = solve_prodsum()
+        proc2 = np.zeros((8, net.n))
+        proc2[:7] = cg.processing
+        with pytest.warns(UserWarning, match="vertex 7 has no inputs"):
+            cg2 = build_computation(8, list(cg.edges), cg.sources, cg.sink, proc2)
+        with pytest.raises(DanglingEdit, match="without any edit naming it"):
+            apply_perturbations(state, cg2, [], dm)
 
     def test_width_guard(self):
         cg, net, dm, (_, _, state) = solve_prodsum()

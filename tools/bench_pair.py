@@ -37,7 +37,13 @@ from noise) and, for the end-to-end metrics of BENCHMARK.json, whether the
 change's median is at most the parent's times one plus the metric's bound
 (``within_bound``; None for other metrics), and whether a gain may be
 claimed on the metric (``claim_met``: the change won at least nine tenths of
-the pairs, the gap is ``resolved`` and the change's median is the lower),
+the pairs, the gap is ``resolved`` and the change's median is the lower).
+Each side also reports the quartiles of its runs' attempted jobs
+(``attempted``), and ``rss_follows_jobs`` flags a ``peak_rss_mb`` gap that
+may be the job count's rather than the code's: it is true when the two
+sides' medians of attempted jobs lie further apart than the parent's
+interquartile range of them (None when no run reports ``peak_rss_mb``).  A
+run's peak RSS grows with the jobs it fits in its seconds.  All of this sits
 next to the seeds and the host (python, numpy, nproc).  The script exits 1,
 after writing the file, when a change run is not correct or fails more jobs
 than the parent run of its pair.
@@ -124,6 +130,7 @@ def summarize(runs: list[dict]) -> dict:
     for side, summary in sides.items():
         summary["correct"] = all(r[side]["correct"] for r in runs)
         summary["failed"] = sum(r[side]["failed"] for r in runs)
+        summary["attempted"] = quartiles([r[side]["attempted"] for r in runs])
     ratio = {m: sides["change"][m]["median"] / sides["parent"][m]["median"]
              if sides["parent"][m]["median"] else None for m in names}
     pair_ratio = {m: statistics.median([r["change"]["metrics"][m] / r["parent"]["metrics"][m]
@@ -140,9 +147,13 @@ def summarize(runs: list[dict]) -> dict:
               if m in BOUNDS else None for m in names}
     claim = {m: 10 * wins[m] >= 9 * len(runs) and resolved[m]
              and sides["change"][m]["median"] < sides["parent"][m]["median"] for m in names}
+    # a run's peak RSS grows with the jobs it fits in its seconds
+    pj, cj = sides["parent"]["attempted"], sides["change"]["attempted"]
+    rss_jobs = (abs(cj["median"] - pj["median"]) > pj["q3"] - pj["q1"]
+                if "peak_rss_mb" in names else None)
     return {**sides, "ratio": ratio, "pair_ratio": pair_ratio, "change_wins": wins,
             "parent_spread": spread, "resolved": resolved, "within_bound": within,
-            "claim_met": claim, "pairs": len(runs)}
+            "claim_met": claim, "rss_follows_jobs": rss_jobs, "pairs": len(runs)}
 
 
 def refused(wl: str, runs: list[dict]) -> list[str]:
