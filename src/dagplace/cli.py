@@ -430,23 +430,24 @@ def _delay(emb, report):
     return emb, report.total
 
 
-# (method, objective) -> solver of (cg, net, dm, td, budget) giving (embedding,
-# value); each looks its solver up by name when called
+# (method, objective) -> solver of (cg, net, dm, shape, budget) giving
+# (embedding, value); ``shape`` is a layered solve's layering or a treewidth
+# solve's decomposition (or None); each looks its solver up by name when called
 _SOLVERS = {
     ("tree", "mindelay"):
-        lambda cg, net, dm, td, budget: _delay(*min_delay_tree(cg, net, dm)),
+        lambda cg, net, dm, _, budget: _delay(*min_delay_tree(cg, net, dm)),
     ("layered", "mincost"):
-        lambda cg, net, dm, td, budget: min_cost_layered(
-            cg, infer_layering(cg), net, dm, budget=budget)[:2],
+        lambda cg, net, dm, shape, budget: min_cost_layered(
+            cg, shape, net, dm, budget=budget)[:2],
     ("treewidth", "mincost"):
-        lambda cg, net, dm, td, budget: min_cost_treewidth(
-            cg, td or min_fill_decomposition(cg), net, dm, budget=budget),
+        lambda cg, net, dm, shape, budget: min_cost_treewidth(
+            cg, shape or min_fill_decomposition(cg), net, dm, budget=budget),
     ("collapse", "mindelay"):
-        lambda cg, net, dm, td, budget: _delay(*min_delay_collapse(cg, net, dm)),
+        lambda cg, net, dm, _, budget: _delay(*min_delay_collapse(cg, net, dm)),
     ("oracle", "mincost"):
-        lambda cg, net, dm, td, budget: brute_force_min_cost(cg, net, dm, budget=budget),
+        lambda cg, net, dm, _, budget: brute_force_min_cost(cg, net, dm, budget=budget),
     ("oracle", "mindelay"):
-        lambda cg, net, dm, td, budget: _delay(*brute_force_min_delay(cg, net, dm, budget=budget)),
+        lambda cg, net, dm, _, budget: _delay(*brute_force_min_delay(cg, net, dm, budget=budget)),
 }
 
 
@@ -462,14 +463,17 @@ def _cmd_solve(args) -> int:
         raise ValidationError("--decomposition requires --method treewidth")
     if args.state_out is not None and method != "layered":
         raise ValidationError("--state-out requires --method layered")
-    td = load_decomposition(load_json(args.decomposition), cdoc) if args.decomposition else None
-    emb, value = solve(cdoc.cg, ndoc.net, apsp(ndoc.net), td, args.budget)
+    shape = load_decomposition(load_json(args.decomposition), cdoc) if args.decomposition else None
+    dm = apsp(ndoc.net)
+    if method == "layered":  # the layering the solve uses, and a state file stores
+        shape = infer_layering(cdoc.cg)
+    emb, value = solve(cdoc.cg, ndoc.net, dm, shape, args.budget)
     key = "cost" if objective == "mincost" else "delay"
     out = embedding_to_json(emb, cdoc, ndoc, objective=objective, method=method,
                             **{key: value})
     _write_json(args.out, out)
     if args.state_out is not None:
-        save_state(args.state_out, infer_layering(cdoc.cg), ndoc, cdoc)
+        save_state(args.state_out, shape, ndoc, cdoc)
     print(f"{key} = {value!r}", file=sys.stderr)
     return EXIT_OK
 

@@ -1,14 +1,17 @@
 """Exact minimum-cost embedding for layered computation graphs.
 
 The layered dynamic program is the tree-decomposition engine of
-``solver_treewidth`` run on ``layered_path_decomposition``: bag i holds
-layers i and i+1 and sends the next bag, for every assignment of layer i+1,
-the cheapest placement of layers 1..i.  Pinned vertices (sources, sink) take
-no table axis, so a full sweep costs O(r n^{2k}).
+``solver_treewidth`` run on ``layered_path_decomposition``: bag i (from 0)
+holds layers i+1 and i+2, is home to the edges that leave layer i+1, and sends
+bag i+1, for every assignment of layer i+2, the cheapest placement of layers
+1..i+1.  Pinned vertices (sources, sink) take no table axis, so a full sweep
+costs O(r n^{2k}).
 
-The per-bag messages are returned in a ``LayeredDPState``, keyed by what each
-bag reads, so that a re-plan after graph edits is a fresh solve that rebuilds
-only the bags whose inputs changed; its result is a fresh solve's.
+The messages are kept in a ``LayeredDPState`` by bag index.  A re-plan after
+edits that only add edges and vertices, keeping the old vertices' rows and
+roles, is a fresh solve that takes the messages of the bags below its lowest
+edit: an edge whose tail lies on layer l changes no bag below bag l-1, and a
+new vertex on layer l none below bag l-2, the first that holds it.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ class LayeredDPState:
     ls: LayeredStructure
     dm: DistanceMatrix
     pinned: tuple[tuple[int, int], ...]  # (computation vertex, network node)
-    # the (min, argmin) message of every bag but the root, keyed by what the
-    # bag reads (see ``_solve_bags``); valid only with ``dm``
-    messages: dict[tuple, tuple[np.ndarray, np.ndarray]]
+    # the (min, argmin) message of every bag, by bag index (see
+    # ``_solve_bags``); a re-plan with ``dm`` reuses those below its lowest edit
+    messages: tuple[tuple[np.ndarray, np.ndarray], ...]
     cost: float
     assignment: tuple[int, ...]
 
@@ -91,7 +94,7 @@ def min_cost_layered(
     assignment tuple.
     """
     validate_layering(cg, ls)
-    return _solve(cg, ls, pinned_images(cg, net), dm, budget, {})
+    return _solve(cg, ls, pinned_images(cg, net), dm, budget, ())
 
 
 def perturbed_layering(cg: ComputationGraph, ls: LayeredStructure,
@@ -144,12 +147,16 @@ def apply_perturbations(
     """Re-plan after adding edges (and possibly vertices) to the solved graph.
 
     ``perturbed_layering`` checks ``cg2`` and ``edits``.  The re-plan is a
-    fresh solve of ``cg2`` that takes the state's message of every bag whose
-    inputs are unchanged, so it gives a fresh solve's result and pays only for
-    the other bags; a ``dm`` other than the state's rebuilds every bag.
+    fresh solve of ``cg2`` that takes the state's messages of the bags below
+    its lowest edit, so it gives a fresh solve's result and pays only for the
+    other bags; a ``dm`` other than the state's rebuilds every bag.
     """
     ls2 = perturbed_layering(state.cg, state.ls, cg2, edits)
     if not edits:
         return Embedding(state.assignment), state.cost, state
-    known = state.messages if dm is state.dm else {}
+    # an edit changes its edge's home bag and the first bag holding a new end
+    layer, first = ls2.layer, len(state.messages)
+    for (a, b, _), _ in edits:
+        first = min(first, layer[a] - 1, *(layer[w] - 2 for w in (a, b) if w >= state.p))
+    known = state.messages[:max(first, 0)] if dm is state.dm else ()
     return _solve(cg2, ls2, dict(state.pinned), dm, budget, known)

@@ -123,7 +123,7 @@ def make_decomposition(cg: ComputationGraph, bags, tree_edges) -> TreeDecomposit
 
 
 def layered_path_decomposition(ls: LayeredStructure, cg: ComputationGraph) -> TreeDecomposition:
-    """Path of r-1 bags, bag i holding layers i and i+1; ``cg`` is not read."""
+    """Path of r-1 bags, bag i (from 0) holding layers i+1 and i+2; ``cg`` is not read."""
     layers = ls.layers()
     if ls.r == 1:
         return TreeDecomposition(layers, ())
@@ -222,14 +222,13 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
     minimum, the cost, and its argmin.  The backtrack then takes each bag's
     home vertices from its argmin at its separator's nodes, parents first.
 
-    Each bag is keyed, children first, by a plain tuple of all that its
-    message reads besides ``dm``: its vertices, the images of its pinned
-    vertices, its separator with its parent bag, the processing rows of its
-    home vertices, its home edges with their weights and its children's keys.
-    ``messages`` maps the key of every bag but the root to the (min, argmin)
-    pair that the bag sends its parent.  A non-root bag whose key is in
-    ``known`` takes its message from there and is not rebuilt, so ``known``
-    must come from solves with the same ``dm``.
+    ``messages`` holds every bag's (min, argmin) message, the root's too, by
+    bag index.  Bag i < len(known) takes ``known[i]`` and is not rebuilt, so
+    the caller vouches that bag i and the bags below it read what they read
+    when ``known`` was computed, ``dm`` included.  On the layered path, where
+    bag i holds layers i+1 and i+2, is home to the edges that leave layer i+1
+    and has bag i-1 as its child, those are the bags below the lowest edit of
+    a re-plan (``solver_layered``).
     """
     children, home_vertices, home_edges = _rooted(cg, td)
     root = next(iter(children))  # children lists each bag before the bags below it
@@ -256,22 +255,9 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
             shape[i] = n
         return t.reshape(shape)
 
-    keys: dict[int, tuple] = {}
-    messages: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    # sent[b]: bag b's message, by bag index for the tables and the backtrack
-    sent: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(td.bags)
+    # sent[b]: bag b's message, by bag index for the tables, the backtrack and the caller
+    sent = list(known) + [None] * (len(td.bags) - len(known))
     for b in reversed(children):
-        # the separator with the parent bag: the vertices not at home here
-        sep = tuple(w for w in td.bags[b] if w not in home_vertices[b])
-        key = keys[b] = (
-            td.bags[b],
-            tuple(map(pinned.get, td.bags[b])),
-            sep,
-            tuple((w, proc[w].tobytes()) for w in home_vertices[b]),
-            tuple(home_edges[b]),
-            tuple(map(keys.__getitem__, children[b])),
-        )
-        sent[b] = known.get(key) if known and b != root else None
         if sent[b] is None:
             f = len(layout[b])
             axis = {w: i for i, w in enumerate(layout[b])}
@@ -290,8 +276,6 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
             flat = table.reshape(n ** len(home[b]), -1)
             shape = (n,) * (f - len(home[b]))
             sent[b] = flat.min(axis=0).reshape(shape), flat.argmin(axis=0).reshape(shape)
-        if b != root:
-            messages[key] = sent[b]
 
     assignment = [0] * cg.p
     for w, v in pinned.items():
@@ -301,7 +285,7 @@ def _solve_bags(cg, td, pinned, dm, budget, known):
         pick = int(sent[b][1][tuple(assignment[w] for w in sep)])
         for w, v in zip(home[b], np.unravel_index(pick, (n,) * len(home[b]))):
             assignment[w] = int(v)
-    return Embedding(tuple(assignment)), float(sent[root][0]), messages
+    return Embedding(tuple(assignment)), float(sent[root][0]), tuple(sent)
 
 
 def min_cost_treewidth(
@@ -321,7 +305,7 @@ def min_cost_treewidth(
     only unpinned vertices.  The cost reported is ``embedding_cost`` of the
     embedding returned.
     """
-    emb, optimum, _ = _solve_bags(cg, td, pinned_images(cg, net), dm, budget, {})
+    emb, optimum, _ = _solve_bags(cg, td, pinned_images(cg, net), dm, budget, ())
     cost = embedding_cost(cg, dm, emb)
     _check_total(cost, optimum, "table optimum")
     return emb, cost

@@ -291,13 +291,10 @@ def reference_solve_bags(cg, td, pinned, dm, budget):
     ``lam * d`` of the home edges in ``cg.edges`` order, then the children's
     messages; the reference for ``solver_treewidth._solve_bags``.
 
-    ``messages`` maps each non-root bag's key, in post-order, to its (min,
-    argmin) message.  The key holds the bag's vertices, the images of its
-    pinned vertices, its separator with its parent bag, its home vertices
-    with their processing rows' bytes, its home edges and its children's
-    keys; two bags with one key must send byte-identical messages.  It takes
-    the rooting (children order and home bags) from ``_rooted``, which
-    ``_nearest_bag_homes`` in ``tests/test_solver_treewidth.py`` checks."""
+    ``messages`` holds each bag's (min, argmin) message by bag index, the
+    root's over no separator.  It takes the rooting (children order and home
+    bags) from ``_rooted``, which ``_nearest_bag_homes`` in
+    ``tests/test_solver_treewidth.py`` checks."""
     children, home_vertices, home_edges = _rooted(cg, td)
     root = next(iter(children))
     n = dm.n
@@ -336,7 +333,8 @@ def reference_solve_bags(cg, td, pinned, dm, budget):
             table += messages[ch][0].reshape([n if w in td.bags[ch] else 1 for w in fb])
         tables[b] = table
 
-    flat = int(tables[root].argmin())
+    messages[root] = _reference_message(tables[root], free[root], ())
+    flat = int(messages[root][1])
     assignment = [0] * cg.p
     for w, v in pinned.items():
         assignment[w] = v
@@ -352,17 +350,4 @@ def reference_solve_bags(cg, td, pinned, dm, budget):
             for w, v in zip(rest, np.unravel_index(pick, (n,) * len(rest))):
                 assignment[w] = int(v)
             stack2.append(ch)
-
-    parent = {c: b for b, cs in children.items() for c in cs}
-    keys, keyed = {}, {}
-    for b in post:
-        up = td.bags[parent[b]] if b in parent else ()
-        keys[b] = (td.bags[b], tuple(pinned.get(w) for w in td.bags[b]),
-                   tuple(w for w in td.bags[b] if w in up),
-                   tuple((w, cg.processing[w].tobytes()) for w in home_vertices[b]),
-                   tuple(home_edges[b]), tuple(keys[c] for c in children[b]))
-        if b != root:
-            same = keyed.setdefault(keys[b], messages[b])
-            for x, y in zip(same, messages[b]):
-                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
-    return Embedding(tuple(assignment)), float(tables[root].reshape(-1)[flat]), keyed
+    return Embedding(tuple(assignment)), float(messages[root][0]), tuple(messages)

@@ -1,5 +1,8 @@
-"""``tools/bench_pair.summarize`` on runs whose quartiles are known."""
+"""``tools/bench_pair``: ``summarize`` on runs whose quartiles are known, and
+the environment each run of a pair gets."""
 
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -85,3 +88,33 @@ def test_attempted_jobs_sit_beside_peak_rss_and_flag_a_gap_they_explain():
     # no flag where no run reads its peak RSS
     assert bench_pair.summarize([{"seed": 101, "parent": side(wall_s=1.0),
                                   "change": side(wall_s=1.0)}])["rss_follows_jobs"] is None
+
+
+def test_both_sides_of_a_pair_run_in_one_padded_environment(tmp_path, monkeypatch):
+    # no git and no perfbench: the checkouts are empty directories and each
+    # run returns a fixed result line, after recording its environment
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append((Path(cmd[1]).parents[1].name, kwargs["env"]))
+        line = {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"wall_s": {"value": 1.0}}}
+        return bench_pair.subprocess.CompletedProcess(cmd, 0, json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(bench_pair, "unpack", lambda rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pair, "copy_tree", lambda dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pair.subprocess, "run", run)
+    seeds = ["101", "102", "103", "104"]
+    assert bench_pair.main(["--tag", "t", "--workloads", "cost_replan", "--seeds", *seeds,
+                            "--tmpdir", str(tmp_path / "tmp")]) == 0
+    runs = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["cost_replan"]["runs"]
+    assert len(calls) == 2 * len(runs) == 8
+    for run, (first, env), (second, env2) in zip(runs, calls[::2], calls[1::2]):
+        assert {first, second} == {"parent", "change"}
+        assert env == env2
+        assert len(env["BENCH_PAIR_PAD"]) == run["env_len"]
+        assert {k: v for k, v in env.items() if k != "BENCH_PAIR_PAD"} == dict(os.environ)
+    # the padding differs from pair to pair, in its length mod 16 too
+    assert len({run["env_len"] % 16 for run in runs}) == len(runs)

@@ -736,6 +736,26 @@ def test_perturb_builds_the_bag_tables_once(tmp_path, monkeypatch):
     assert [td.bags for td in solves] == [((0, 1, 2, 3, 4), (3, 4, 5, 7), (5, 6, 7))]
 
 
+def test_solve_state_out_infers_the_layering_once(tmp_path, monkeypatch):
+    # the state file stores the layering the solve used, not a second inference
+    inferred, solved = [], []
+
+    def spy(cg):
+        inferred.append(infer_layering(cg))
+        return inferred[-1]
+
+    def solve_spy(cg, ls, *args, **kwargs):
+        solved.append(ls)
+        return min_cost_layered(cg, ls, *args, **kwargs)
+
+    infer_layering = cli.infer_layering
+    monkeypatch.setattr(cli, "infer_layering", spy)
+    monkeypatch.setattr(cli, "min_cost_layered", solve_spy)
+    state = _state(tmp_path)
+    assert len(inferred) == 1 and solved == inferred
+    assert json.loads(open(state).read())["layer"] == list(inferred[0].layer)
+
+
 def test_perturb_checks_the_edits_before_the_budget(tmp_path, capsys):
     # layers 2 and 3 hold two free vertices each, so one bag table has
     # 60**4 > 10**7 cells; no table is built before the budget check

@@ -21,6 +21,7 @@ from dagplace.oracle import brute_force_min_cost
 from dagplace.solver_layered import apply_perturbations, min_cost_layered, perturbed_layering
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
 from workloads import CostReplan  # noqa: E402
 
 
@@ -32,8 +33,8 @@ def solve_prodsum():
 
 def assert_states_equal(a, b):
     """Every field equal: the graph ``cg`` by its fields and its processing
-    table, the distance matrix ``dm`` by its arrays, and the keyed
-    ``messages`` by their keys, in order, and their arrays' bytes."""
+    table, the distance matrix ``dm`` by its arrays, and the ``messages`` by
+    bag index and their arrays' bytes."""
     for f in dataclasses.fields(a):
         if f.name not in ("cg", "dm", "messages"):
             assert getattr(a, f.name) == getattr(b, f.name), f.name
@@ -42,9 +43,8 @@ def assert_states_equal(a, b):
     assert np.array_equal(a.cg.processing, b.cg.processing)
     assert a.dm.dist.tobytes() == b.dm.dist.tobytes()
     assert a.dm.weight.tobytes() == b.dm.weight.tobytes()
-    assert list(a.messages) == list(b.messages)
-    for key, (min_a, arg_a) in a.messages.items():
-        min_b, arg_b = b.messages[key]
+    assert len(a.messages) == len(b.messages)
+    for (min_a, arg_a), (min_b, arg_b) in zip(a.messages, b.messages):
         for x, y in ((min_a, min_b), (arg_a, arg_b)):
             assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
 
@@ -224,7 +224,7 @@ class TestPerturbations:
         assert (emb2.assignment, cost2) == (emb3.assignment, cost3)
         assert embedding_cost(cg2, dm2, emb2) == cost2
         assert_states_equal(state2, state3)
-        assert not any(m is o for m in state2.messages.values() for o in state.messages.values())
+        assert not any(m is o for m in state2.messages for o in state.messages)
 
     def test_replan_reuses_exactly_the_bags_below_the_edited_layer(self):
         # a re-plan on layer l takes the messages of bags 0..l-2 (layers 1..l)
@@ -234,12 +234,55 @@ class TestPerturbations:
                 inst = CostReplan.instance(shape, i)
                 dm = apsp(inst.net)
                 _, _, state = min_cost_layered(inst.cg, infer_layering(inst.cg), inst.net, dm)
-                old = list(state.messages.values())
+                old = state.messages
                 for _, cg2, edits in inst.replans:
                     [(_, lay)] = edits
                     _, _, state2 = apply_perturbations(state, cg2, edits, dm)
-                    reused = [any(m is o for o in old) for m in state2.messages.values()]
+                    reused = [m is o for m, o in zip(state2.messages, old)]
                     assert reused == [True] * (lay - 1) + [False] * (len(old) - lay + 1)
+
+    def test_replan_reuses_the_bags_below_a_new_vertex_or_a_crossing_edge(self):
+        # layers {0,1,2} {3,4} {5,6} {7,8} {9,10} {11}, joined as a ladder, so
+        # each middle layer takes a new vertex (k = 3) and misses edges to the
+        # next; bag i holds layers i+1 and i+2 and is home to the edges that
+        # leave layer i+1
+        rng = np.random.default_rng(36)
+        net = place_roles(random_connected_network(5, rng, weight_range=(0, 5)), 3, rng)
+        dm = apsp(net)
+        edges = [(0, 3, 1.0), (1, 3, 2.0), (2, 4, 1.0), (3, 5, 3.0), (4, 6, 1.0), (5, 7, 2.0),
+                 (6, 8, 1.0), (7, 9, 1.0), (8, 10, 2.0), (9, 11, 1.0), (10, 11, 3.0)]
+        proc = rng.integers(0, 4, size=(13, net.n)).astype(float)
+        proc[:3] = 0.0
+        cg = build_computation(12, edges, (0, 1, 2), 11, proc[:12])
+        ls = infer_layering(cg)
+        layers = ls.layers()
+        _, _, state = min_cost_layered(cg, ls, net, dm)
+        assert len(state.messages) == ls.r - 1
+        cases = []  # (edit, number of bags below it)
+        for l in range(2, ls.r):
+            # the new vertex 12 on layer l as the head of an edge inside the
+            # layer, and as the tail of an edge into layer l+1: bag l-2 holds it
+            cases.append((((layers[l - 1][0], 12, 2.0), l), l - 2))
+            cases.append((((12, layers[l][0], 2.0), l), l - 2))
+        for l in range(1, ls.r - 1):
+            # an edge from layer l to l+1 between old vertices: bag l-1 is its home
+            a, b = layers[l - 1][-1], layers[l][0]
+            cases.append((((a, b, 2.0), l), l - 1))
+        for edit, below in cases:
+            (a, b, _), _ = edit
+            if max(a, b) < cg.p:
+                cg2 = build_computation(12, edges + [edit[0]], (0, 1, 2), 11, proc[:12])
+            else:
+                with pytest.warns(UserWarning):
+                    cg2 = build_computation(13, edges + [edit[0]], (0, 1, 2), 11, proc)
+            emb2, cost2, state2 = apply_perturbations(state, cg2, [edit], dm)
+            shared = [m is o for m, o in zip(state2.messages, state.messages)]
+            assert shared == [True] * below + [False] * (len(state.messages) - below), edit
+            assert below == spans._replan_start(state, [edit]) - 1
+            ls2 = perturbed_layering(cg, ls, cg2, [edit])
+            emb3, cost3, state3 = min_cost_layered(cg2, ls2, net, dm)
+            assert (emb2.assignment, cost2) == (emb3.assignment, cost3)
+            assert_states_equal(state2, state3)
 
     def test_state_round_trips_through_pickle(self):
         cg, net, dm, (emb, cost, state) = solve_prodsum()

@@ -21,7 +21,12 @@ directory that is renamed before each pair, to a name of 1 to 16 characters
 that grows by one from pair to pair: the length of a checkout's path moves a
 run's memory layout, which can shift a workload's times by several percent,
 so each side meets the same spread of lengths and both sides of a pair meet
-the same one.  Each run records that length as ``path_len``.
+the same one.  Each run records that length as ``path_len``.  The size of the
+environment moves the memory layout the same way (an unused variable once
+moved ``cost_replan`` by up to about 20%), so each run's environment is
+padded by one variable, ``BENCH_PAIR_PAD``, whose length steps through
+0-4095 from pair to pair and is the same on both sides of a pair; each run
+records it as ``env_len``.
 
 The output holds the line count of each side's ``src/dagplace/*.py`` and
 their difference, each run's end-to-end metrics and correctness, and per
@@ -103,12 +108,13 @@ def src_lines(checkout: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "dagplace").glob("*.py"))
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run's result line, as a dict."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, env_len: int) -> dict:
+    """One perfbench run's result line, as a dict, with the environment padded
+    by ``env_len`` characters."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "BENCH_PAIR_PAD": "x" * env_len},
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n"
@@ -196,9 +202,11 @@ def main(argv=None) -> int:
                 home = home.rename(tmp / ("d" * (1 + pair % 16)))
                 pair += 1
                 run = {"seed": seed, "first": order[0],
-                       "path_len": len(str(home / "parent"))}  # "change" is as long
+                       "path_len": len(str(home / "parent")),  # "change" is as long
+                       # an odd step, so the padding's length mod 16 varies too
+                       "env_len": 1031 * pair % 4096}
                 for side in order:
-                    run[side] = run_once(home / side, wl, seed, seconds)
+                    run[side] = run_once(home / side, wl, seed, seconds, run["env_len"])
                 runs.append(run)
                 ratios = {m: run["change"]["metrics"][m] / run["parent"]["metrics"][m]
                           for m in run["parent"]["metrics"] if run["parent"]["metrics"][m]}
