@@ -34,13 +34,12 @@ from .model import (
     infer_layering,
     validate_layering,
 )
-from .oracle import brute_force_min_cost, brute_force_min_delay, enumerate_embeddings
+from .oracle import brute_force_min_cost, brute_force_min_delay
 from .solver_layered import LayeredDPState, apply_perturbations, min_cost_layered
 from .solver_tree import min_delay_collapse, min_delay_tree
 from .solver_treewidth import (
     TreeDecomposition,
     layered_path_decomposition,
-    make_decomposition,
     min_cost_treewidth,
     min_fill_decomposition,
 )
@@ -72,11 +71,9 @@ __all__ = [
     "check_tree",
     "embedding_cost",
     "embedding_delay",
-    "enumerate_embeddings",
     "extract_path",
     "infer_layering",
     "layered_path_decomposition",
-    "make_decomposition",
     "max_link_usage",
     "min_cost_layered",
     "min_cost_treewidth",

@@ -80,7 +80,6 @@ from .solver_tree import min_delay_collapse, min_delay_tree
 from .solver_treewidth import (
     DEFAULT_TABLE_BUDGET,
     TreeDecomposition,
-    make_decomposition,
     min_cost_treewidth,
     min_fill_decomposition,
 )
@@ -321,7 +320,7 @@ def load_decomposition(doc: dict, cdoc: ComputationDoc) -> TreeDecomposition:
     for e in tree_edges:
         if not isinstance(e, list) or len(e) != 2 or not all(_is_int(i) for i in e):
             raise ValidationError(f"decomposition: tree edge {e!r} must be [i, j] bag indices")
-    return make_decomposition(cdoc.cg, bags, tree_edges)
+    return TreeDecomposition(bags, tree_edges)
 
 
 def load_experiment_config(doc: dict, master_seed: int | None = None) -> ExperimentConfig:

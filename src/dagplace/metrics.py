@@ -177,7 +177,7 @@ def capacity_aware_delay(
     computation-edge index).
     """
     paths = route_edges(cg, dm, e)
-    weight = net.edge_weight()
+    weight = {(u, v): w for u, v, w in net.edges}
 
     def link_key(a: int, b: int):
         base = (min(a, b), max(a, b))

@@ -47,9 +47,6 @@ class NetworkGraph:
     def k(self) -> int:
         return len(self.sources)
 
-    def edge_weight(self) -> dict[tuple[int, int], float]:
-        return {(u, v): w for u, v, w in self.edges}
-
     def with_roles(self, sources, sink) -> "NetworkGraph":
         sources, sink = _check_roles(self.n, sources, sink)
         return replace(self, sources=sources, sink=sink)

@@ -41,18 +41,6 @@ def _blocks(cg: ComputationGraph, net: NetworkGraph, budget: int):
         yield asg
 
 
-def enumerate_embeddings(cg: ComputationGraph, net: NetworkGraph, *, budget: int = DEFAULT_TABLE_BUDGET):
-    """Yield every embedding exactly once, pinned vertices fixed.
-
-    Raises ValidationError when the network's roles do not match ``cg`` (see
-    ``model.pinned_images``) and BudgetExceeded when n**(number of free
-    vertices) exceeds ``budget``.
-    """
-    for asg in _blocks(cg, net, budget):
-        for row in asg.T.tolist():
-            yield Embedding(assignment=tuple(row))
-
-
 def _argmin_over_blocks(blocks, score):
     """Assignment tuple of the first embedding of least score."""
     best_asg, best = None, None

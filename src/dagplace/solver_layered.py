@@ -49,8 +49,6 @@ class LayeredDPState:
     # the (min, argmin) message of every bag, by bag index (see
     # ``_solve_bags``); a re-plan with ``dm`` reuses those below its lowest edit
     messages: tuple[tuple[np.ndarray, np.ndarray], ...]
-    cost: float
-    assignment: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -77,7 +75,7 @@ def _solve(cg, ls, pinned, dm, budget, known):
     cost = embedding_cost(cg, dm, e)
     _check_total(cost, optimum, "table optimum")
     return e, cost, LayeredDPState(cg=cg, ls=ls, dm=dm, pinned=tuple(sorted(pinned.items())),
-                                   messages=messages, cost=cost, assignment=e.assignment)
+                                   messages=messages)
 
 
 def min_cost_layered(
@@ -148,12 +146,11 @@ def apply_perturbations(
 
     ``perturbed_layering`` checks ``cg2`` and ``edits``.  The re-plan is a
     fresh solve of ``cg2`` that takes the state's messages of the bags below
-    its lowest edit, so it gives a fresh solve's result and pays only for the
-    other bags; a ``dm`` other than the state's rebuilds every bag.
+    its lowest edit, so it gives a fresh solve's result under ``dm`` and pays
+    only for the other bags (none, with no edits); a ``dm`` other than the
+    state's rebuilds every bag.  ``budget`` bounds it as it bounds a solve.
     """
     ls2 = perturbed_layering(state.cg, state.ls, cg2, edits)
-    if not edits:
-        return Embedding(state.assignment), state.cost, state
     # an edit changes its edge's home bag and the first bag holding a new end
     layer, first = ls2.layer, len(state.messages)
     for (a, b, _), _ in edits:

@@ -114,14 +114,6 @@ def _rooted(cg: ComputationGraph, td: TreeDecomposition):
     return children, home_vertices, home_edges
 
 
-def make_decomposition(cg: ComputationGraph, bags, tree_edges) -> TreeDecomposition:
-    """The decomposition of ``bags`` and ``tree_edges``, checked against ``cg``
-    as every solve checks it (see ``_rooted``)."""
-    td = TreeDecomposition(bags, tree_edges)
-    _rooted(cg, td)
-    return td
-
-
 def layered_path_decomposition(ls: LayeredStructure, cg: ComputationGraph) -> TreeDecomposition:
     """Path of r-1 bags, bag i (from 0) holding layers i+1 and i+2; ``cg`` is not read."""
     layers = ls.layers()

@@ -15,7 +15,8 @@ from dagplace.cli import (
 from dagplace.errors import BudgetExceeded
 from dagplace.metrics import Embedding, embedding_cost, embedding_delay
 from dagplace.model import build_computation, build_network, pinned_images
-from dagplace.solver_treewidth import _rooted
+from dagplace.oracle import _blocks
+from dagplace.solver_treewidth import DEFAULT_TABLE_BUDGET, _rooted
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -210,6 +211,14 @@ def random_embedding(cg, net, rng: np.random.Generator) -> Embedding:
         asg[s] = net.sources[i]
     asg[cg.sink] = net.sink
     return Embedding(tuple(asg))
+
+
+def block_embeddings(cg, net, budget=DEFAULT_TABLE_BUDGET):
+    """Yield each embedding of the oracle's blocks (``oracle._blocks``) in
+    turn, as an ``Embedding``, in the order the oracle scores them."""
+    for asg in _blocks(cg, net, budget):
+        for row in asg.T.tolist():
+            yield Embedding(assignment=tuple(row))
 
 
 def reference_brute_force(cg, net, dm, objective: str):

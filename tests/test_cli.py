@@ -70,6 +70,34 @@ def test_solve_treewidth_with_and_without_decomposition(tmp_path):
     assert json.loads(out.read_text())["cost"] == with_td
 
 
+@pytest.mark.parametrize("bags, tree_edges, message", [
+    # a tree edge names bag 7 of 5
+    (None, [[0, 1], [1, 2], [1, 3], [3, 7]], "bad tree edge (3,7)"),
+    # vertex a (1) also in bag 4, whose neighbour bag 3 lacks it
+    ([["src", "a"], ["a", "b", "e"], ["b", "c", "e"], ["b", "d", "e"], ["e", "out", "a"]],
+     None, "bags containing vertex 1 are not connected"),
+    # no bag holds both c (3) and e (5)
+    ([["src", "a"], ["a", "b", "e"], ["b", "c"], ["b", "d", "e"], ["e", "out"]],
+     None, "edge (3,5) is in no bag"),
+])
+def test_broken_decomposition_exits_4_before_the_budget(tmp_path, capsys, bags, tree_edges,
+                                                        message):
+    # with --budget 10 the fixture's decomposition itself exits 3 (64-cell
+    # tables), so the decomposition is checked before the budget
+    td = load_json(fx("loop_td.json"))
+    td = dict(td, bags=bags or td["bags"], tree_edges=tree_edges or td["tree_edges"])
+    path, out = tmp_path / "td.json", tmp_path / "emb.json"
+    path.write_text(json.dumps(td))
+    argv = ["solve", "--objective", "mincost", "--method", "treewidth", "--network",
+            fx("loop_net.json"), "--computation", fx("loop_cg.json"), "--out", str(out)]
+    assert main(argv + ["--decomposition", fx("loop_td.json"), "--budget", "10"]) == 3
+    for budget in ([], ["--budget", "10"]):
+        capsys.readouterr()
+        assert main(argv + ["--decomposition", str(path)] + budget) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_eval_metrics(tmp_path):
     out = tmp_path / "r.json"
     for metric, key, value in (

@@ -184,7 +184,7 @@ class TestCapacityAware:
             e = random_embedding(cg, pnet, rng)
             rep, sched = capacity_aware_delay(cg, pnet, dm, e)
             assert rep.total >= embedding_delay(cg, dm, e).total - 1e-9
-            w = pnet.edge_weight()
+            w = {(a, b): x for a, b, x in pnet.edges}
             for (u, v), uses in sched.uses.items():
                 prev = None
                 for use in uses:

@@ -82,7 +82,7 @@ def all_simple_paths(net, u: int, v: int):
 
 
 def path_weight(net, path) -> float:
-    w = net.edge_weight()
+    w = {(u, v): x for u, v, x in net.edges}
     total = 0.0
     for a, b in itertools.pairwise(path):
         total += w[(min(a, b), max(a, b))]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    block_embeddings,
     load_fixture,
     place_roles,
     random_connected_network,
@@ -17,12 +18,7 @@ from conftest import (
 from dagplace.errors import BudgetExceeded, CyclicGraph
 from dagplace.metrics import embedding_delay
 from dagplace.model import apsp, build_computation, build_network
-from dagplace.oracle import (
-    BLOCK,
-    brute_force_min_cost,
-    brute_force_min_delay,
-    enumerate_embeddings,
-)
+from dagplace.oracle import BLOCK, brute_force_min_cost, brute_force_min_delay
 
 
 def chain_on_triangle():
@@ -35,21 +31,21 @@ def chain_on_triangle():
 class TestEnumeration:
     def test_chain_has_three(self):
         cg, net = chain_on_triangle()
-        assert sum(1 for _ in enumerate_embeddings(cg, net)) == 3
+        assert sum(1 for _ in block_embeddings(cg, net)) == 3
 
     def test_prodsum_has_512(self):
-        embs = list(enumerate_embeddings(*load_fixture("prodsum")))
+        embs = list(block_embeddings(*load_fixture("prodsum")))
         assert len(embs) == 512
         assert len({e.assignment for e in embs}) == 512
 
     def test_sources_wired_to_sink(self):
         net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], sources=(0, 1), sink=2)
         cg = build_computation(3, [(0, 2, 1.0), (1, 2, 1.0)], (0, 1), 2, np.zeros((3, 3)))
-        assert sum(1 for _ in enumerate_embeddings(cg, net)) == 1
+        assert sum(1 for _ in block_embeddings(cg, net)) == 1
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            list(enumerate_embeddings(*load_fixture("prodsum"), budget=100))
+            list(block_embeddings(*load_fixture("prodsum"), budget=100))
 
 
 class TestMinima:
@@ -105,11 +101,11 @@ class TestMinima:
         cg, net = load_fixture("prodsum")
         dm = apsp(net)
         _, cost = brute_force_min_cost(cg, net, dm)
-        totals = [embedding_delay(cg, dm, e).total for e in enumerate_embeddings(cg, net)]
+        totals = [embedding_delay(cg, dm, e).total for e in block_embeddings(cg, net)]
         assert min(reversed(totals)) == brute_force_min_delay(cg, net, dm)[1].total
         from dagplace.metrics import embedding_cost
 
-        costs = [embedding_cost(cg, dm, e) for e in enumerate_embeddings(cg, net)]
+        costs = [embedding_cost(cg, dm, e) for e in block_embeddings(cg, net)]
         assert min(reversed(costs)) == cost
 
     def test_min_delay_at_most_min_cost(self):
@@ -216,7 +212,7 @@ class TestBlocks:
 
     def test_enumeration_order_across_blocks(self):
         cg, net = self.star(0.0)
-        assert [e.assignment for e in enumerate_embeddings(cg, net)] == [
+        assert [e.assignment for e in block_embeddings(cg, net)] == [
             (0, *images, 4) for images in itertools.product(range(5), repeat=7)
         ]
 
@@ -230,4 +226,4 @@ class TestBlocks:
             with pytest.raises(BudgetExceeded, match=re.escape(message)):
                 solve(cg, net, dm, budget=511)
         with pytest.raises(BudgetExceeded, match=re.escape(message)):
-            next(enumerate_embeddings(cg, net, budget=511))
+            next(block_embeddings(cg, net, budget=511))

@@ -116,7 +116,30 @@ class TestPerturbations:
         emb2, cost2, state2 = apply_perturbations(state, cg, [], dm)
         assert emb2.assignment == emb.assignment
         assert cost2 == cost
-        assert state2 is state
+        assert_states_equal(state2, state)
+
+    def test_empty_edit_list_solves_under_the_matrix_given(self):
+        # no edit, other link weights: the stored answer is stale, and the
+        # re-plan gives a fresh solve's answer under the new matrix
+        cg, net, dm, (emb, cost, state) = solve_prodsum()
+        net2 = build_network(net.n, [(u, v, 3 * w + 1) for u, v, w in net.edges],
+                             sources=net.sources, sink=net.sink)
+        dm2 = apsp(net2)
+        emb2, cost2, state2 = apply_perturbations(state, cg, [], dm2)
+        emb3, cost3, state3 = min_cost_layered(cg, state.ls, net2, dm2)
+        assert cost3 != cost
+        assert (emb2.assignment, cost2) == (emb3.assignment, cost3)
+        assert embedding_cost(cg, dm2, emb2) == cost2
+        assert_states_equal(state2, state3)
+        # under the state's own matrix every message is the stored one
+        _, _, state4 = apply_perturbations(state, cg, [], dm)
+        assert len(state4.messages) == len(state.messages)
+        assert all(m is o for m, o in zip(state4.messages, state.messages))
+
+    def test_empty_edit_list_is_bounded_by_the_budget(self):
+        cg, net, dm, (_, _, state) = solve_prodsum()
+        with pytest.raises(BudgetExceeded):
+            apply_perturbations(state, cg, [], dm, budget=100)
 
     def test_empty_edit_list_checks_the_graph(self):
         cg, net, dm, (_, _, state) = solve_prodsum()

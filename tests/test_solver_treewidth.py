@@ -35,7 +35,6 @@ from dagplace.solver_treewidth import (
     _rooted,
     _solve_bags,
     layered_path_decomposition,
-    make_decomposition,
     min_cost_treewidth,
     min_fill_decomposition,
 )
@@ -77,7 +76,7 @@ class TestMinFill:
         cg, _ = load_fixture("loop")
         td = min_fill_decomposition(cg)
         assert td.width == 2
-        make_decomposition(cg, td.bags, td.tree_edges)
+        _rooted(cg, td)
 
     def test_tree_width_one(self):
         assert min_fill_decomposition(load_fixture("fanin")[0]).width == 1
@@ -106,7 +105,7 @@ class TestMinFill:
             for bags in itertools.combinations(small_bags, count):
                 for tree in _all_trees(count):
                     try:
-                        make_decomposition(tri, bags, tree)
+                        _rooted(tri, TreeDecomposition(bags, tree))
                         found = True
                     except InvalidDecomposition:
                         pass
@@ -156,7 +155,7 @@ class TestMinCostTreewidth:
     def test_single_bag_equals_enumeration(self):
         cg, net = load_fixture("prodsum")
         dm = apsp(net)
-        td = make_decomposition(cg, [tuple(range(7))], [])
+        td = TreeDecomposition([tuple(range(7))], [])
         emb, cost = min_cost_treewidth(cg, td, net, dm)
         _, best = brute_force_min_cost(cg, net, dm)
         assert cost == best
@@ -209,8 +208,8 @@ class TestMinCostTreewidth:
         # inside bag 0, so the bags fit both graphs but the homes do not
         net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], sources=(0,), sink=2)
         chain = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
-        td = make_decomposition(build_computation(4, chain, (0,), 3, np.zeros((4, 3))),
-                                [(0, 1, 2), (2, 3)], [(0, 1)])
+        td = TreeDecomposition([(0, 1, 2), (2, 3)], [(0, 1)])
+        _rooted(build_computation(4, chain, (0,), 3, np.zeros((4, 3))), td)
         proc = np.zeros((4, 3))
         proc[2] = [3, 3, 0]
         cg = build_computation(4, chain + [(0, 2, 5.0)], (0,), 3, proc)
@@ -220,8 +219,8 @@ class TestMinCostTreewidth:
         assert embedding_cost(cg, dm, emb) == cost
 
     def test_hand_built_value_is_normalised_and_solved(self):
-        # unsorted bags that repeat a vertex, out of root-first order, never
-        # passed through make_decomposition
+        # unsorted bags that repeat a vertex, out of root-first order, checked
+        # only by the solve: the layered path decomposition, its bags reversed
         cg, net = load_fixture("prodsum")
         dm = apsp(net)
         bags, tree_edges = [(6, 5, 5), (4, 3, 5, 3), (2, 1, 0, 4, 3, 0)], [(0, 1), (2.0, 1)]
@@ -229,15 +228,15 @@ class TestMinCostTreewidth:
         assert td.bags == ((5, 6), (3, 4, 5), (0, 1, 2, 3, 4))
         assert td.tree_edges == ((0, 1), (2, 1)) and type(td.tree_edges[1][0]) is int
         emb, cost = min_cost_treewidth(cg, td, net, dm)
-        assert (emb, cost) == min_cost_treewidth(cg, make_decomposition(cg, bags, tree_edges),
-                                                 net, dm)
+        path = layered_path_decomposition(infer_layering(cg), cg)
+        assert (emb, cost) == min_cost_treewidth(cg, path, net, dm)
         assert cost == reference_brute_force(cg, net, dm, "mincost")[1] == 34
         assert embedding_cost(cg, dm, emb) == cost
 
     def test_budget_counts_free_cells_only(self):
         cg, net = load_fixture("prodsum")
         dm = apsp(net)
-        td = make_decomposition(cg, [tuple(range(7))], [])
+        td = TreeDecomposition([tuple(range(7))], [])
         budget = net.n ** 3  # vertices 3, 4 and 5 are free; n**7 cells would not fit
         _, cost = min_cost_treewidth(cg, td, net, dm, budget=budget)
         assert cost == brute_force_min_cost(cg, net, dm)[1]
@@ -246,7 +245,7 @@ class TestMinCostTreewidth:
 
     def test_budget_guard(self):
         cg, net = load_fixture("prodsum")
-        td = make_decomposition(cg, [tuple(range(7))], [])
+        td = TreeDecomposition([tuple(range(7))], [])
         with pytest.raises(BudgetExceeded):
             min_cost_treewidth(cg, td, net, apsp(net), budget=10)
 
@@ -382,7 +381,7 @@ def _random_decompositions(rng, count):
             bags = [bags[perm.index(i)] for i in range(len(bags))]
             edges = [[perm[a], perm[b]] for a, b in edges]
             yield cg, td
-            yield cg, make_decomposition(cg, bags, edges)
+            yield cg, TreeDecomposition(bags, edges)
             count -= 1
 
 
@@ -397,8 +396,7 @@ def test_engine_equals_the_reference_on_shuffled_decompositions():
         proc[[label[s] for s in cg.sources]] = 0.0
         cg = build_computation(cg.p, [(label[a], label[b], lam) for a, b, lam in cg.edges],
                                [label[s] for s in cg.sources], label[cg.sink], proc)
-        td = make_decomposition(cg, [[label[w] for w in bag] for bag in td.bags],
-                                td.tree_edges)
+        td = TreeDecomposition([[label[w] for w in bag] for bag in td.bags], td.tree_edges)
         links = [(u, v, float(rng.choice([0.0, 0.1, 0.7])))
                  for v in range(1, n) for u in range(v) if u == v - 1 or rng.random() < 0.5]
         net = place_roles(build_network(n, links), len(cg.sources), rng)
@@ -418,10 +416,10 @@ class TestDecompositionValidation:
 
     def test_missing_edge_coverage(self):
         cg, net = load_fixture("prodsum")
-        with pytest.raises(InvalidDecomposition, match=r"^edge \(3,5\) is in no bag$"):
-            make_decomposition(cg, [(0, 1, 2, 3, 4), (5, 6)], [(0, 1)])
-        # a hand-built value is checked by the solve itself
         td = TreeDecomposition([(0, 1, 2, 3, 4), (5, 6)], [(0, 1)])
+        with pytest.raises(InvalidDecomposition, match=r"^edge \(3,5\) is in no bag$"):
+            _rooted(cg, td)
+        # the solve runs the same check
         with pytest.raises(InvalidDecomposition, match=r"^edge \(3,5\) is in no bag$"):
             min_cost_treewidth(cg, td, net, apsp(net))
 
@@ -430,14 +428,14 @@ class TestDecompositionValidation:
             3, [(0, 1, 1.0), (1, 2, 1.0)], (0,), 2, np.zeros((3, 2))
         )
         with pytest.raises(InvalidDecomposition):
-            make_decomposition(cg, [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)])
+            _rooted(cg, TreeDecomposition([(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)]))
 
     def test_not_a_tree(self):
         cg = build_computation(
             3, [(0, 1, 1.0), (1, 2, 1.0)], (0,), 2, np.zeros((3, 2))
         )
         with pytest.raises(InvalidDecomposition):
-            make_decomposition(cg, [(0, 1), (1, 2)], [])
+            _rooted(cg, TreeDecomposition([(0, 1), (1, 2)], []))
 
     def test_every_emitted_decomposition_is_valid(self):
         rng = np.random.default_rng(31)
