@@ -554,6 +554,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.network and args.n is not None:  # the network gives n
+        raise ValidationError("--n cannot be combined with --network")
     if args.network:
         ndoc = load_network(args.network)
         print(f"network ok: {ndoc.net.n} nodes, {len(ndoc.net.edges)} edges,"

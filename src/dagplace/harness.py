@@ -278,10 +278,15 @@ def experiment_k2_gap(cfg: ExperimentConfig) -> StatsTable:
 
     Each instance is a random layered graph with unit edge weights embedded in
     a random unit-weight network; the row reports the ratio and the k*k bound.
+    The config must therefore give one edge probability and the "unit"
+    weight model.
     """
-    if cfg.layers < 2 or not 1 <= cfg.width < cfg.n or not cfg.p_r_grid:
-        raise ValidationError(f"k2-gap needs 2 <= layers, 1 <= width < n and a p_r_grid value,"
-                              f" got layers={cfg.layers}, width={cfg.width}, n={cfg.n}")
+    if (cfg.layers < 2 or not 1 <= cfg.width < cfg.n or len(cfg.p_r_grid) != 1
+            or cfg.weight_model != "unit"):
+        raise ValidationError(f"k2-gap needs 2 <= layers, 1 <= width < n, one p_r_grid value and"
+                              f" unit weights, got layers={cfg.layers}, width={cfg.width},"
+                              f" n={cfg.n}, p_r_grid={list(cfg.p_r_grid)},"
+                              f" weight_model={cfg.weight_model!r}")
     rows = []
     for inst in range(cfg.instances):
         rng = _rng(cfg.master_seed, inst)

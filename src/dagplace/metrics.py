@@ -20,7 +20,7 @@ from .model import (
     ComputationGraph,
     DistanceMatrix,
     NetworkGraph,
-    crossed_links,
+    _walk,
     extract_paths,
     pinned_images,
 )
@@ -144,7 +144,9 @@ def route_edges(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding):
 def max_link_usage(cg: ComputationGraph, dm: DistanceMatrix, e: Embedding) -> int:
     """Largest number of computation edges whose routed path crosses one link."""
     asg = e.assignment
-    tails, heads = crossed_links(dm, [(asg[a], asg[b]) for a, b, _ in cg.edges])
+    walk = _walk(dm, [(asg[a], asg[b]) for a, b, _ in cg.edges])
+    moved = walk[1:] != walk[:-1]
+    tails, heads = walk[:-1][moved], walk[1:][moved]
     keys = np.minimum(tails, heads) * dm.n + np.maximum(tails, heads)
     return int(np.bincount(keys, minlength=1).max())
 

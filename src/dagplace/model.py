@@ -142,8 +142,8 @@ class DistanceMatrix:
     positive one whose weight is lost to rounding) must instead raise h, so
     zero-weight cycles are never walked.  h counts every tight link, so the
     chosen path need not have the fewest hops of all shortest paths.
-    On an exact network (``_exact``) ``extract_paths`` walks the paths
-    greedily; otherwise it builds each source's route tree for that call.
+    ``_walk`` walks the paths in lock step: greedily on an exact network
+    (``_exact``), otherwise from each source's route tree, built for that call.
     Equality and hashing are by identity, as for ``ComputationGraph``.
     """
 
@@ -163,8 +163,8 @@ class DistanceMatrix:
     @functools.cached_property
     def _exact(self) -> bool:
         """Whether every link weight is a positive integer and every distance
-        is below 2**53, so that path sums are exact: ``extract_paths`` then
-        walks the chosen paths greedily instead of building route trees."""
+        is below 2**53, so that path sums are exact: ``_walk`` then walks the
+        chosen paths greedily instead of building route trees."""
         w = self._links[2]
         return bool((w > 0).all() and (w == np.floor(w)).all() and (self.dist < 2.0**53).all())
 
@@ -521,62 +521,47 @@ def _route_tree(dm: DistanceMatrix, u: int) -> list[int]:
     return parent
 
 
-def _greedy_walk(dm: DistanceMatrix, pairs) -> np.ndarray:
-    """Walk the chosen u->v paths of ``pairs`` on an exact network, all pairs
-    in lock step: row k holds each pair's node after k hops, and a pair stays
-    at v once there.  With exact sums the chosen path is the lexicographically
-    smallest shortest path, so from x it steps to the smallest y with
-    ``weight[x, y] + dist[y, v] == dist[x, v]``."""
-    uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    x, v = uv[:, 0].copy(), uv[:, 1]
-    walk = [uv[:, 0]]
-    live = np.flatnonzero(x != v)
-    while live.size:
-        xl, vl = x[live], v[live]
-        x[live] = (dm.weight[xl] + dm.dist[:, vl].T == dm.dist[xl, vl][:, None]).argmax(axis=1)
-        walk.append(x.copy())
-        live = live[x[live] != vl]
-    return np.array(walk)
+def _walk(dm: DistanceMatrix, pairs) -> np.ndarray:
+    """The chosen u->v paths of ``pairs``, walked in lock step: column j is
+    pair j's path, row k its node after k hops, and a path stays at v once
+    there.  This is the one reader of ``DistanceMatrix._exact``.  With exact
+    sums the chosen path is the lexicographically smallest shortest path, so
+    from x it steps to the smallest y with ``weight[x, y] + dist[y, v] ==
+    dist[x, v]``.  Otherwise each path is read from the route tree of its
+    source, built for this call, and padded with its own v."""
+    uv = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+    if dm._exact:
+        x, v = uv[:, 0].copy(), uv[:, 1]
+        walk = [uv[:, 0]]
+        live = np.flatnonzero(x != v)
+        while live.size:
+            xl, vl = x[live], v[live]
+            x[live] = (dm.weight[xl] + dm.dist[:, vl].T == dm.dist[xl, vl][:, None]).argmax(axis=1)
+            walk.append(x.copy())
+            live = live[x[live] != vl]
+        return np.array(walk)
+    pairs = uv.tolist()
+    trees = {u: _route_tree(dm, u) for u in {u for u, v in pairs if u != v}}
+    paths = []
+    for u, v in pairs:
+        path = [v]
+        while path[-1] != u:
+            path.append(trees[u][path[-1]])
+            if path[-1] < 0:
+                raise ValidationError(f"no path from {u} to {v}")
+        paths.append(path[::-1])
+    rows = max(map(len, paths), default=1)
+    walk = np.array([p + p[-1:] * (rows - len(p)) for p in paths], dtype=np.intp)
+    return walk.reshape(-1, rows).T
 
 
 def extract_paths(dm: DistanceMatrix, pairs) -> list[list[int]]:
     """Node sequences of the chosen shortest u->v paths of ``pairs``, in
-    order; [u] when u == v.  On an exact network (``DistanceMatrix._exact``)
-    they are walked greedily, otherwise from the route tree of each distinct
-    source, built for this call."""
-    pairs = list(pairs)
-    if dm._exact:
-        walk = _greedy_walk(dm, pairs)
-        hops = (walk[1:] != walk[:-1]).sum(axis=0).tolist()
-        return [col[:h + 1] for col, h in zip(walk.T.tolist(), hops)]
-    trees = {u: _route_tree(dm, u) for u in {u for u, v in pairs if u != v}}
-    out = []
-    for u, v in pairs:
-        path = [v]
-        if u != v:
-            parent = trees[u]
-            x = v
-            while x != u:
-                x = parent[x]
-                if x < 0:
-                    raise ValidationError(f"no path from {u} to {v}")
-                path.append(x)
-            path.reverse()
-        out.append(path)
-    return out
-
-
-def crossed_links(dm: DistanceMatrix, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of the links that the chosen paths of ``pairs`` cross,
-    once per crossing; on an exact network without building the paths."""
-    pairs = list(pairs)
-    if dm._exact:
-        walk = _greedy_walk(dm, pairs)
-        moved = walk[1:] != walk[:-1]
-        return walk[:-1][moved], walk[1:][moved]
-    paths = extract_paths(dm, pairs)
-    return (np.array([x for p in paths for x in p[:-1]], dtype=np.intp),
-            np.array([y for p in paths for y in p[1:]], dtype=np.intp))
+    order; [u] when u == v.  Each is a column of ``_walk``, cut after its
+    last hop."""
+    walk = _walk(dm, pairs)
+    hops = (walk[1:] != walk[:-1]).sum(axis=0).tolist()
+    return [col[:h + 1] for col, h in zip(walk.T.tolist(), hops)]
 
 
 def extract_path(dm: DistanceMatrix, u: int, v: int) -> list[int]:

@@ -239,6 +239,19 @@ def test_per_direction_is_refused_without_capdelay(tmp_path, capsys):
     assert "capdelay" in json.loads(out.read_text())
 
 
+def test_n_is_refused_with_a_network(capsys):
+    # the network gives n, so --n is refused beside it, even a negative one
+    argv = ["validate", "--network", fx("prodsum_net.json"), "--computation",
+            fx("prodsum_cg.json"), "--n", "-1"]
+    for args in (argv, argv[:3] + argv[5:]):
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", "error: --n cannot be combined with --network\n")
+    # refused before any file is read
+    assert main([a.replace("prodsum_net.json", "missing.json") for a in argv]) == 2
+    assert capsys.readouterr().err == "error: --n cannot be combined with --network\n"
+    assert main(argv[:5]) == 0
+
+
 @pytest.mark.parametrize("size", [1.0, 0.0])
 def test_overflowing_distances_solve_without_a_traceback(size, tmp_path, capsys):
     # d(s, t) = 1e308 + 1e308 overflows to inf; a zero size times inf is NaN
@@ -407,6 +420,11 @@ def _one_error_line(argv, capsys) -> int:
     ("validate-network", _with("prodsum_net.json", allow_sink_source="false")),
     ("validate", _with("prodsum_cg.json", allow_cycles="false")),
     ("treewidth-cg", _with("loop_cg.json", allow_cycles="false")),
+    # the gap study draws unit-weight networks at one edge probability only
+    pytest.param("bench", _with("bench_k2_desk.json", weight_model="randint"),
+                 id="bench-k2-randint"),
+    pytest.param("bench", _with("bench_k2_desk.json", p_r_grid=[0.6, 0.1]),
+                 id="bench-k2-two-probabilities"),
 ])
 def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -533,6 +533,12 @@ def _reference_paths(dm, pairs) -> list[list[int]]:
             for u, v in pairs]
 
 
+def _most_crossings(routes) -> int:
+    """Largest number of ``routes`` that cross one link, either way; 0 if none."""
+    crossings = Counter((min(x, y), max(x, y)) for path in routes for x, y in zip(path, path[1:]))
+    return max(crossings.values(), default=0)
+
+
 class TestRouteTrees:
     """On an inexact network ``extract_paths`` builds the route tree of each
     source it needs, for that call; every path must equal a walk of
@@ -548,7 +554,13 @@ class TestRouteTrees:
         pairs = list(itertools.product(range(net.n), repeat=2))
         assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
         routed = [(e[a], e[b]) for a, b, _ in cg.edges]
-        assert route_edges(cg, dm, e) == _reference_paths(dm, routed)
+        routes = _reference_paths(dm, routed)
+        assert route_edges(cg, dm, e) == routes
+        # one link count builds one route tree per source that leaves its node
+        with _route_trees() as tree:
+            assert max_link_usage(cg, dm, e) == _most_crossings(routes)
+        assert sorted(c.args[1] for c in tree.call_args_list) == sorted({u for u, v in routed
+                                                                        if u != v})
 
     def test_differential_networks_all_pairs_and_pair_by_pair(self):
         # every pair of every network, in one call, and one call per pair
@@ -580,11 +592,25 @@ class TestGreedyRoutes:
         assert dm._exact
         pairs = list(itertools.product(range(net.n), repeat=2))
         routes = _reference_paths(dm, [(e[a], e[b]) for a, b, _ in cg.edges])
-        crossings = Counter((min(x, y), max(x, y)) for path in routes
-                            for x, y in zip(path, path[1:]))
         with _route_trees() as tree:
             assert extract_paths(dm, pairs) == _reference_paths(dm, pairs)
-            assert max_link_usage(cg, dm, e) == max(crossings.values(), default=0)
+            assert max_link_usage(cg, dm, e) == _most_crossings(routes)
+        assert not tree.called
+
+    @pytest.mark.parametrize("edges, exact", [
+        ([(0, 1, 1.0), (1, 2, 2.0)], True),
+        ([(0, 1, 0.5), (1, 2, 0.0)], False),
+    ])
+    def test_no_pairs_and_no_hops(self, edges, exact):
+        # no pair routes no path, and edges that stay on one node cross no link
+        dm = apsp(build_network(3, edges))
+        assert dm._exact == exact
+        assert extract_paths(dm, []) == []
+        cg = build_computation(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], (0,), 2,
+                               np.zeros((3, 3)))
+        with _route_trees() as tree:
+            for x in range(3):
+                assert max_link_usage(cg, dm, Embedding((x, x, x))) == 0
         assert not tree.called
 
     @pytest.mark.parametrize("n, edges, u, v, path", [

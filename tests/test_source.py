@@ -31,3 +31,23 @@ def test_all_lists_exactly_the_imported_names():
     assert len(dagplace.__all__) == len(set(dagplace.__all__))
     assert set(dagplace.__all__) == imported
     assert all(hasattr(dagplace, name) for name in dagplace.__all__)
+
+
+def test_every_import_is_used():
+    """Each name a module other than ``__init__.py`` imports is read in that
+    module, so a removed caller leaves no stale import behind."""
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if name not in read
+        ]
+    assert unused == []
