@@ -6,8 +6,6 @@ from .errors import (
     BudgetExceeded,
     DagplaceError,
     DisconnectedGraph,
-    NotATree,
-    NotLayered,
     PreconditionError,
     ValidationError,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "LayeredStructure",
     "LinkSchedule",
     "NetworkGraph",
-    "NotATree",
-    "NotLayered",
     "PreconditionError",
     "TreeDecomposition",
     "ValidationError",

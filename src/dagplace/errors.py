@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the package.
 
-Three families matter to callers: input validation failures, enumeration /
-table-size budget failures, and solver precondition failures.  The CLI maps
-them to distinct exit codes.
+Three families matter to callers, and the CLI maps each to its own exit
+code: ValidationError for malformed or inconsistent input (2),
+BudgetExceeded for an enumeration or DP table over its budget (3), and
+PreconditionError for an instance outside a solver's class (4).  Only two
+leaf classes exist, each because some code catches it: DisconnectedGraph
+(a ValidationError carrying the network's components) and
+MaxResamplesExceeded (a random network that stayed disconnected).
 """
 
 
@@ -23,60 +27,12 @@ class DisconnectedGraph(ValidationError):
         )
 
 
-class NegativeWeight(ValidationError):
-    pass
-
-
-class DuplicateEdge(ValidationError):
-    pass
-
-
-class UnknownNodeId(ValidationError):
-    pass
-
-
-class SelfLoop(ValidationError):
-    pass
-
-
-class CyclicGraph(ValidationError):
-    pass
-
-
 class BudgetExceeded(DagplaceError):
     """An enumeration or DP table would exceed the configured budget."""
 
 
 class PreconditionError(DagplaceError):
     """A solver was invoked on an instance outside its contract."""
-
-
-class NotATree(PreconditionError):
-    pass
-
-
-class NotLayered(PreconditionError):
-    pass
-
-
-class SinkNotLast(PreconditionError):
-    pass
-
-
-class PreconditionViolated(PreconditionError):
-    pass
-
-
-class WidthExceeded(PreconditionError):
-    pass
-
-
-class DanglingEdit(PreconditionError):
-    pass
-
-
-class InvalidDecomposition(PreconditionError):
-    pass
 
 
 class MaxResamplesExceeded(DagplaceError):

@@ -196,25 +196,34 @@ def capacity_aware_delay(
     log: dict[tuple[int, int], list[LinkUse]] = {}
     events: list[tuple[float, int, tuple, int]] = []  # (time, kind, link, edge)
 
-    def fire(w: int, t: float) -> None:
-        fire_time[w] = float(t)
-        for idx in out[w]:
-            path = paths[idx]
-            if len(path) < 2:
-                deliver(idx, t)
-            else:
-                heapq.heappush(events, (t, _ARRIVE, link_key(path[0], path[1]), idx))
+    def fire(ready: list[tuple[int, float]]) -> None:
+        """Fire each (vertex, time) of ``ready``.  A zero-hop out-edge delivers
+        at once and a vertex it completes joins ``ready``, so a long chain of
+        vertices on one node loops instead of recursing.  Every event key is
+        unique, so the order of the pushes cannot change the order of pops."""
+        while ready:
+            w, t = ready.pop()
+            fire_time[w] = float(t)
+            for idx in out[w]:
+                path = paths[idx]
+                if len(path) < 2:
+                    ready.extend(deliver(idx, t))
+                else:
+                    heapq.heappush(events, (t, _ARRIVE, link_key(path[0], path[1]), idx))
 
-    def deliver(idx: int, t: float) -> None:
+    def deliver(idx: int, t: float) -> list[tuple[int, float]]:
+        """Hand edge ``idx``'s data to its head at ``t``; the head and its firing
+        time once this was its last input, else nothing."""
         head = cg.edges[idx][1]
         latest[head] = max(latest[head], t)
         pending[head] -= 1
-        if pending[head] == 0:
-            fire(head, latest[head] + cg.processing[head, e.assignment[head]])
+        if pending[head]:
+            return []
+        return [(head, latest[head] + cg.processing[head, e.assignment[head]])]
 
     # taken before any firing: deliveries fire every other vertex
-    for w in [w for w in cg.topological_order() if pending[w] == 0]:
-        fire(w, 0.0 + cg.processing[w, e.assignment[w]])
+    fire([(w, 0.0 + cg.processing[w, e.assignment[w]])
+          for w in cg.topological_order() if pending[w] == 0])
 
     while events:
         t, kind, key, idx = heapq.heappop(events)
@@ -228,7 +237,7 @@ def capacity_aware_delay(
                 nxt = link_key(path[segment[idx]], path[segment[idx] + 1])
                 heapq.heappush(events, (t, _ARRIVE, nxt, idx))
             else:
-                deliver(idx, t)
+                fire(deliver(idx, t))
         q = waiting.get(key)
         if key in busy or not q:
             continue

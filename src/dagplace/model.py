@@ -15,17 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    CyclicGraph,
-    DisconnectedGraph,
-    DuplicateEdge,
-    NegativeWeight,
-    NotLayered,
-    SelfLoop,
-    SinkNotLast,
-    UnknownNodeId,
-    ValidationError,
-)
+from .errors import DisconnectedGraph, PreconditionError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -113,7 +103,7 @@ class ComputationGraph:
 
     def topological_order(self) -> tuple[int, ...]:
         if self._topo is None:
-            raise CyclicGraph("computation graph is not acyclic")
+            raise ValidationError("computation graph is not acyclic")
         return self._topo
 
     def in_edges(self) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -230,9 +220,8 @@ def _components(n: int, tails, heads):
 def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -> NetworkGraph:
     """Validate and construct a NetworkGraph.
 
-    Raises DisconnectedGraph, NegativeWeight, DuplicateEdge, UnknownNodeId,
-    SelfLoop or ValidationError (also for a NaN or infinite weight) on
-    malformed input.  ``allow_sink_source`` permits the sink to coincide
+    Raises DisconnectedGraph for a network in several pieces and
+    ValidationError for any other malformed input.  ``allow_sink_source`` permits the sink to coincide
     with a source (rejected by default).
     """
     if n < 1:
@@ -242,16 +231,16 @@ def build_network(n, edges, sources=(), sink=None, *, allow_sink_source=False) -
     for u, v, w in edges:
         u, v, w = int(u), int(v), float(w) + 0.0  # -0.0 + 0.0 is +0.0
         if not (0 <= u < n and 0 <= v < n):
-            raise UnknownNodeId(f"edge ({u},{v}) references a node outside 0..{n - 1}")
+            raise ValidationError(f"edge ({u},{v}) references a node outside 0..{n - 1}")
         if u == v:
-            raise SelfLoop(f"self-loop at node {u}")
+            raise ValidationError(f"self-loop at node {u}")
         if w < 0:
-            raise NegativeWeight(f"edge ({u},{v}) has negative weight {w}")
+            raise ValidationError(f"edge ({u},{v}) has negative weight {w}")
         if not math.isfinite(w):
             raise ValidationError(f"edge ({u},{v}) has non-finite weight {w}")
         pair = (min(u, v), max(u, v))
         if pair in seen_pairs:
-            raise DuplicateEdge(f"more than one edge between {pair[0]} and {pair[1]}")
+            raise ValidationError(f"more than one edge between {pair[0]} and {pair[1]}")
         seen_pairs.add(pair)
         norm.append((pair[0], pair[1], w))
     ends = np.array([(u, v) for u, v, _ in norm], dtype=np.intp).reshape(-1, 2)
@@ -268,13 +257,13 @@ def _check_roles(n, sources, sink, allow_sink_source=False) -> tuple[tuple[int, 
     sources = tuple(int(s) for s in sources)
     for s in sources:
         if not 0 <= s < n:
-            raise UnknownNodeId(f"source {s} outside 0..{n - 1}")
+            raise ValidationError(f"source {s} outside 0..{n - 1}")
     if len(set(sources)) != len(sources):
         raise ValidationError("sources must be pairwise distinct")
     if sink is not None:
         sink = int(sink)
         if not 0 <= sink < n:
-            raise UnknownNodeId(f"sink {sink} outside 0..{n - 1}")
+            raise ValidationError(f"sink {sink} outside 0..{n - 1}")
         if sink in sources and not allow_sink_source:
             raise ValidationError(
                 "sink coincides with a source (pass allow_sink_source=True to permit)"
@@ -309,9 +298,9 @@ def build_computation(
         raise ValidationError("computation graph needs at least one source")
     for s in sources:
         if not 0 <= s < p:
-            raise UnknownNodeId(f"source {s} outside 0..{p - 1}")
+            raise ValidationError(f"source {s} outside 0..{p - 1}")
     if not 0 <= sink < p:
-        raise UnknownNodeId(f"sink {sink} outside 0..{p - 1}")
+        raise ValidationError(f"sink {sink} outside 0..{p - 1}")
     if sink in sources:
         raise ValidationError("computation sink cannot be a source")
 
@@ -320,15 +309,15 @@ def build_computation(
     for a, b, lam in edges:
         a, b, lam = int(a), int(b), float(lam)
         if not (0 <= a < p and 0 <= b < p):
-            raise UnknownNodeId(f"edge ({a},{b}) references a vertex outside 0..{p - 1}")
+            raise ValidationError(f"edge ({a},{b}) references a vertex outside 0..{p - 1}")
         if a == b:
-            raise SelfLoop(f"self-loop at computation vertex {a}")
+            raise ValidationError(f"self-loop at computation vertex {a}")
         if lam < 0:
-            raise NegativeWeight(f"edge ({a},{b}) has negative weight {lam}")
+            raise ValidationError(f"edge ({a},{b}) has negative weight {lam}")
         if not math.isfinite(lam):
             raise ValidationError(f"edge ({a},{b}) has non-finite weight {lam}")
         if (a, b) in seen:
-            raise DuplicateEdge(f"more than one edge ({a},{b})")
+            raise ValidationError(f"more than one edge ({a},{b})")
         seen.add((a, b))
         norm.append((a, b, lam))
     proc = np.array(processing, dtype=float, order="C")
@@ -346,12 +335,12 @@ def build_computation(
             warnings.warn(f"vertex {v} has no inputs but is not a declared source")
 
     if require_dag and not cg.is_dag:
-        raise CyclicGraph("computation graph contains a directed cycle")
+        raise ValidationError("computation graph contains a directed cycle")
 
     if proc.ndim != 2 or proc.shape[0] != p:
         raise ValidationError(f"processing table must have shape (p={p}, n); got {proc.shape}")
     if (proc < 0).any():
-        raise NegativeWeight("processing table has negative entries")
+        raise ValidationError("processing table has negative entries")
     if not np.isfinite(proc).all():
         raise ValidationError("processing table has non-finite entries")
     if any(proc[s].any() for s in sources):
@@ -572,9 +561,8 @@ def extract_path(dm: DistanceMatrix, u: int, v: int) -> list[int]:
 def infer_layering(cg: ComputationGraph) -> LayeredStructure:
     """Assign layer(w) = longest path length from the sources + 1 and verify.
 
-    Raises NotLayered when an edge spans two or more layers under this
-    labelling and SinkNotLast when the sink does not sit alone on the final
-    layer.
+    Raises PreconditionError when an edge spans two or more layers under
+    this labelling or the sink does not sit alone on the final layer.
     """
     topo = cg.topological_order()
     layer = [1] * cg.p
@@ -590,21 +578,21 @@ def infer_layering(cg: ComputationGraph) -> LayeredStructure:
 def validate_layering(cg: ComputationGraph, ls: LayeredStructure) -> None:
     """Check an externally supplied layer labelling against its invariants."""
     if len(ls.layer) != cg.p:
-        raise NotLayered("layer map size does not match vertex count")
+        raise PreconditionError("layer map size does not match vertex count")
     if any(l < 1 for l in ls.layer):
-        raise NotLayered("layer labels must lie in 1..r")
+        raise PreconditionError("layer labels must lie in 1..r")
     for a, b, _ in cg.edges:
         if ls.layer[b] - ls.layer[a] not in (0, 1):
-            raise NotLayered(f"edge ({a},{b}) spans layers {ls.layer[a]}..{ls.layer[b]}")
+            raise PreconditionError(f"edge ({a},{b}) spans layers {ls.layer[a]}..{ls.layer[b]}")
     for s in cg.sources:
         if ls.layer[s] != 1:
-            raise NotLayered(f"source {s} not at layer 1")
+            raise PreconditionError(f"source {s} not at layer 1")
     if ls.layer[cg.sink] != ls.r:
-        raise SinkNotLast("sink not on the last layer")
+        raise PreconditionError("sink not on the last layer")
     if [v for v in range(cg.p) if ls.layer[v] == ls.r] != [cg.sink]:
-        raise SinkNotLast("last layer must hold the sink alone")
+        raise PreconditionError("last layer must hold the sink alone")
     if len(set(ls.layer)) != ls.r:  # labels lie in 1..r, so one is missing
-        raise NotLayered("every layer needs at least one vertex")
+        raise PreconditionError("every layer needs at least one vertex")
 
 
 def check_tree(cg: ComputationGraph) -> bool:

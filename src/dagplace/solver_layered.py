@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DanglingEdit, NotLayered, ValidationError, WidthExceeded
+from .errors import PreconditionError, ValidationError
 from .metrics import Embedding, _check_total, embedding_cost
 from .model import (
     ComputationGraph,
@@ -113,22 +113,22 @@ def perturbed_layering(cg: ComputationGraph, ls: LayeredStructure,
     for (a, b, lam), lay in edits:
         new_a, new_b = a >= cg.p, b >= cg.p
         if new_a and new_b:
-            raise DanglingEdit(f"edge ({a},{b}) has no endpoint in the original graph")
+            raise PreconditionError(f"edge ({a},{b}) has no endpoint in the original graph")
         if not 1 <= lay <= ls.r:
-            raise NotLayered(f"edit layer {lay} outside 1..{ls.r}")
+            raise PreconditionError(f"edit layer {lay} outside 1..{ls.r}")
         if new_a or new_b:
             w = a if new_a else b
             if layer[w] and layer[w] != lay:
-                raise NotLayered(f"conflicting layers for new vertex {w}")
+                raise PreconditionError(f"conflicting layers for new vertex {w}")
             layer[w] = lay
         elif lay not in (layer[a], layer[b]):
-            raise NotLayered(f"edit layer {lay} does not touch edge ({a},{b})")
+            raise PreconditionError(f"edit layer {lay} does not touch edge ({a},{b})")
     if any(l == 0 for l in layer):
-        raise DanglingEdit("a new vertex was added without any edit naming it")
+        raise PreconditionError("a new vertex was added without any edit naming it")
 
     ls2 = LayeredStructure(layer)
     if ls2.k > ls.k:
-        raise WidthExceeded(
+        raise PreconditionError(
             f"a layer of {ls2.k} vertices exceeds the original bound k={ls.k}")
     validate_layering(cg2, ls2)
     return ls2

@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .errors import NotATree, PreconditionViolated
+from .errors import PreconditionError
 from .metrics import DelayReport, Embedding, _check_total, _larger, embedding_delay
 from .model import ComputationGraph, DistanceMatrix, NetworkGraph, check_tree, pinned_images
 
@@ -23,7 +23,7 @@ def min_delay_tree(
 ) -> tuple[Embedding, DelayReport]:
     """Globally minimum-delay embedding; ties go to the smallest network node."""
     if not check_tree(cg):
-        raise NotATree("every non-sink vertex must have out-degree exactly 1")
+        raise PreconditionError("every non-sink vertex must have out-degree exactly 1")
     n = net.n
     d = dm.dist
     edges, out = cg.edges, cg.out_edges()  # a non-sink vertex has one out-edge
@@ -68,9 +68,9 @@ def min_delay_collapse(
     """Map every free vertex onto the sink; optimal when processing is zero
     and all computation edges have unit weight."""
     if cg.processing.any():
-        raise PreconditionViolated("collapse requires zero processing everywhere")
+        raise PreconditionError("collapse requires zero processing everywhere")
     if any(lam != 1.0 for _, _, lam in cg.edges):
-        raise PreconditionViolated("collapse requires unit computation-edge weights")
+        raise PreconditionError("collapse requires unit computation-edge weights")
     pinned = pinned_images(cg, net)
     e = Embedding(assignment=tuple(pinned.get(w, net.sink) for w in range(cg.p)))
     report = embedding_delay(cg, dm, e)

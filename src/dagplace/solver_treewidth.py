@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidDecomposition
+from .errors import BudgetExceeded, PreconditionError
 from .metrics import Embedding, _check_total, embedding_cost
 from .model import (
     ComputationGraph,
@@ -54,7 +54,7 @@ class TreeDecomposition:
 def _rooted(cg: ComputationGraph, td: TreeDecomposition):
     """Check ``td`` against ``cg`` and root it: (children, home vertices, home edges).
 
-    Raises InvalidDecomposition unless the bags form a tree, cover every
+    Raises PreconditionError unless the bags form a tree, cover every
     vertex and edge, and the bags holding each vertex are connected.  The
     root is the first bag holding the sink (bag 0 if none does).
     ``children`` maps each bag to its children in increasing index and lists
@@ -67,13 +67,13 @@ def _rooted(cg: ComputationGraph, td: TreeDecomposition):
     """
     bags, nb = td.bags, len(td.bags)
     if nb == 0:
-        raise InvalidDecomposition("no bags")
+        raise PreconditionError("no bags")
     if len(td.tree_edges) != nb - 1:
-        raise InvalidDecomposition(f"{nb} bags need {nb - 1} tree edges")
+        raise PreconditionError(f"{nb} bags need {nb - 1} tree edges")
     adj: list[list[int]] = [[] for _ in range(nb)]
     for a, b in td.tree_edges:
         if not (0 <= a < nb and 0 <= b < nb) or a == b:
-            raise InvalidDecomposition(f"bad tree edge ({a},{b})")
+            raise PreconditionError(f"bad tree edge ({a},{b})")
         adj[a].append(b)
         adj[b].append(a)
     root = min((i for i, b in enumerate(bags) if cg.sink in b), default=0)
@@ -90,10 +90,10 @@ def _rooted(cg: ComputationGraph, td: TreeDecomposition):
             home_vertices[c] = [w for w in bags[c] if w not in bags[b]]
             stack.append(c)
     if len(children) < nb:
-        raise InvalidDecomposition("bag tree is not connected")
+        raise PreconditionError("bag tree is not connected")
 
     if set().union(*bags) != set(range(cg.p)):
-        raise InvalidDecomposition("bags must cover every computation vertex")
+        raise PreconditionError("bags must cover every computation vertex")
     pieces = [0] * cg.p
     home_bag = [0] * cg.p
     for b, ws in enumerate(home_vertices):
@@ -102,14 +102,14 @@ def _rooted(cg: ComputationGraph, td: TreeDecomposition):
             home_bag[w] = b
     for w, count in enumerate(pieces):
         if count != 1:
-            raise InvalidDecomposition(f"bags containing vertex {w} are not connected")
+            raise PreconditionError(f"bags containing vertex {w} are not connected")
 
     home_edges: list[list[tuple[int, int, float]]] = [[] for _ in range(nb)]
     for edge in cg.edges:
         a, b, _ = edge
         home = home_bag[a] if b in bags[home_bag[a]] else home_bag[b]
         if a not in bags[home]:
-            raise InvalidDecomposition(f"edge ({a},{b}) is in no bag")
+            raise PreconditionError(f"edge ({a},{b}) is in no bag")
         home_edges[home].append(edge)
     return children, home_vertices, home_edges
 

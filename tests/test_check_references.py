@@ -1,9 +1,14 @@
-"""``tools/check_references.differences`` on synthetic reference dicts."""
+"""``tools/check_references.differences`` on synthetic reference dicts, and
+every perfbench job against its recorded reference output."""
 
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 
 import check_references  # noqa: E402
 
@@ -38,3 +43,12 @@ def test_changed_missing_and_extra_keys_are_each_named_in_key_order():
         "a/0/validate: reference '2e', now None",
         "a/1/eval_cost: reference None, now '4c'",
     ]
+
+
+@pytest.mark.parametrize("name", list(check_references.workloads.WORKLOADS))
+def test_every_perfbench_job_gives_its_reference_output(name):
+    """What ``tools/check_references.py`` checks, one workload per test."""
+    reference = json.loads((ROOT / "perfbench" / "reference" / f"{name}.json").read_text())
+    got = check_references.record.record_workload(check_references.workloads.WORKLOADS[name])
+    assert len(reference) > 0
+    assert check_references.differences(reference, got) == []

@@ -130,6 +130,23 @@ def test_eval_capdelay_fanin(tmp_path):
     assert doc["links"]["i--j"][0]["departure"] == 2
 
 
+def test_eval_capdelay_on_a_long_colocated_chain(tmp_path):
+    # the source sits on a, the other 1,999 vertices on the sink node b
+    p = 2000
+    net, cg, emb = tmp_path / "net.json", tmp_path / "cg.json", tmp_path / "emb.json"
+    net.write_text(json.dumps({"nodes": ["a", "b"], "edges": [["a", "b", 1.0]],
+                               "sources": ["a"], "sink": "b"}))
+    cg.write_text(json.dumps(_chain_cg([[0, 0]] + [[0, 0.5]] * (p - 1))))
+    emb.write_text(json.dumps({"map": {f"w{i}": "b" if i else "a" for i in range(p)}}))
+    values = {}
+    for metric in ("delay", "capdelay"):
+        out = tmp_path / f"{metric}.json"
+        assert main(["eval", "--metric", metric, "--network", str(net), "--computation",
+                     str(cg), "--embedding", str(emb), "--out", str(out)]) == 0
+        values[metric] = json.loads(out.read_text())[metric]
+    assert values == {"delay": 1000.5, "capdelay": 1000.5}
+
+
 def test_perturb_round_trip(tmp_path):
     state = tmp_path / "state.json"
     emb = tmp_path / "emb.json"
@@ -425,6 +442,9 @@ def _one_error_line(argv, capsys) -> int:
                  id="bench-k2-randint"),
     pytest.param("bench", _with("bench_k2_desk.json", p_r_grid=[0.6, 0.1]),
                  id="bench-k2-two-probabilities"),
+    # p - p//2 == n: the leaves and the sink need one node more than the network has
+    pytest.param("bench-link-usage", _with("bench_link_usage_desk.json", n=8, p=16),
+                 id="bench-link-usage-leaves-fill-the-network"),
 ])
 def test_malformed_documents_exit_2_with_one_line(command, doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -323,6 +323,21 @@ class TestCapacityAware:
             (6, 7): [(6, 6, 7, 15, 16)],
         }
 
+    def test_long_chain_on_one_node_does_not_recurse(self):
+        # every zero-hop delivery fires the next vertex at once: 2,000 of them
+        # in a row must not exhaust the interpreter's stack
+        p = 2000
+        net = build_network(2, [(0, 1, 1.0)], sources=(0,), sink=1)
+        proc = np.zeros((p, 2))
+        proc[1:, 1] = 0.5
+        cg = build_computation(p, [(w, w + 1, 1.0) for w in range(p - 1)], (0,), p - 1, proc)
+        dm = apsp(net)
+        e = Embedding((0,) + (1,) * (p - 1))
+        rep, sched = capacity_aware_delay(cg, net, dm, e)
+        assert rep == embedding_delay(cg, dm, e)
+        assert rep.total == 1.0 + 0.5 * (p - 1)
+        assert _uses(sched) == {(0, 1): [(0, 0, 1, 0, 1)]}
+
     def test_link_uses_hold_plain_numbers(self, prodsum):
         # edges 4-6 leave non-sources, whose firing times are sums with a
         # numpy processing entry; their times are plain floats all the same

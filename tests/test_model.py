@@ -1,6 +1,7 @@
 import dataclasses
 import heapq
 import itertools
+import re
 import warnings
 from collections import Counter, deque
 from unittest import mock
@@ -17,17 +18,7 @@ from conftest import (
     reference_path_tree,
 )
 from dagplace import model
-from dagplace.errors import (
-    CyclicGraph,
-    DisconnectedGraph,
-    DuplicateEdge,
-    NegativeWeight,
-    NotLayered,
-    SelfLoop,
-    SinkNotLast,
-    UnknownNodeId,
-    ValidationError,
-)
+from dagplace.errors import DisconnectedGraph, PreconditionError, ValidationError
 from dagplace.harness import (
     random_binary_tree_cg,
     random_layered_cg,
@@ -40,6 +31,7 @@ from dagplace.solver_tree import min_delay_collapse, min_delay_tree
 from dagplace.solver_treewidth import min_cost_treewidth, min_fill_decomposition
 from dagplace.model import (
     DistanceMatrix,
+    LayeredStructure,
     NetworkGraph,
     apsp,
     build_computation,
@@ -230,27 +222,36 @@ class TestBuildNetwork:
         assert disconnected > 100
 
     def test_negative_weight(self):
-        with pytest.raises(NegativeWeight):
+        with pytest.raises(ValidationError, match=r"^edge \(0,1\) has negative weight -1\.0$"):
             build_network(2, [(0, 1, -1.0)])
 
     def test_non_finite_weight(self):
         for w in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="non-finite"):
                 build_network(2, [(0, 1, w)])
-        with pytest.raises(NegativeWeight):
+        with pytest.raises(ValidationError, match=r"^edge \(0,1\) has negative weight -inf$"):
             build_network(2, [(0, 1, float("-inf"))])
 
     def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(ValidationError, match=r"^more than one edge between 0 and 1$"):
             build_network(2, [(0, 1, 1.0), (1, 0, 2.0)])
 
     def test_unknown_node(self):
-        with pytest.raises(UnknownNodeId):
+        with pytest.raises(ValidationError,
+                           match=r"^edge \(0,5\) references a node outside 0\.\.1$"):
             build_network(2, [(0, 5, 1.0)])
 
     def test_self_loop(self):
-        with pytest.raises(SelfLoop):
+        with pytest.raises(ValidationError, match=r"^self-loop at node 0$"):
             build_network(2, [(0, 0, 1.0), (0, 1, 1.0)])
+
+    @pytest.mark.parametrize("roles, message", [
+        ({"sources": (2,)}, "source 2 outside 0..1"),
+        ({"sources": (0,), "sink": 2}, "sink 2 outside 0..1"),
+    ])
+    def test_role_outside_the_network(self, roles, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build_network(2, [(0, 1, 1.0)], **roles)
 
     def test_sink_equal_source_rejected_by_default(self):
         with pytest.raises(ValidationError):
@@ -776,15 +777,32 @@ class TestLayering:
         cg = build_computation(
             3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], (0,), 2, np.zeros((3, 2))
         )
-        with pytest.raises(NotLayered):
+        with pytest.raises(PreconditionError, match=r"^edge \(0,2\) spans layers 1\.\.3$"):
             infer_layering(cg)
 
     def test_sink_not_alone(self):
         cg = build_computation(
             3, [(0, 1, 1.0), (0, 2, 1.0)], (0,), 2, np.zeros((3, 2))
         )
-        with pytest.raises(SinkNotLast):
+        with pytest.raises(PreconditionError, match=r"^last layer must hold the sink alone$"):
             infer_layering(cg)
+
+    @pytest.mark.parametrize("edges, layer, message", [
+        ([(0, 1, 1.0), (1, 2, 1.0)], (1, 2), "layer map size does not match vertex count"),
+        ([(0, 1, 1.0), (1, 2, 1.0)], (0, 1, 2), "layer labels must lie in 1..r"),
+        ([(0, 1, 1.0), (1, 2, 1.0)], (2, 2, 3), "source 0 not at layer 1"),
+        ([(0, 1, 1.0), (0, 2, 1.0)], (1, 2, 1), "sink not on the last layer"),
+        # vertex 3 has no inputs, so it can sit past the empty layer 2
+        ([(0, 1, 1.0), (3, 2, 1.0)], (1, 1, 4, 3), "every layer needs at least one vertex"),
+    ])
+    def test_invalid_labellings(self, edges, layer, message):
+        # source 0, sink 2
+        p = max(max(a, b) for a, b, _ in edges) + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cg = build_computation(p, edges, (0,), 2, np.zeros((p, 2)))
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            validate_layering(cg, LayeredStructure(layer))
 
     def test_generator_round_trip(self):
         rng = np.random.default_rng(4)
@@ -826,7 +844,7 @@ class TestComputationGraph:
         # closing a cycle leaves no order
         cyclic = dataclasses.replace(chain, edges=chain.edges + ((3, 1, 1.0),))
         assert not cyclic.is_dag
-        with pytest.raises(CyclicGraph):
+        with pytest.raises(ValidationError, match=r"^computation graph is not acyclic$"):
             cyclic.topological_order()
         # out-edges are the edge indices of each tail, ascending
         for name in ("prodsum", "fanin", "ladder", "loop"):
@@ -873,13 +891,24 @@ class TestComputationGraph:
         off = sorted(set(range(p)) - (fed & drains))
         assert named == ([f"vertices {off} lie on no source-to-sink path"] if off else [])
 
+    @pytest.mark.parametrize("sources, sink, edges, message", [
+        # p = 3 on a 2-node network: ids run to p - 1 = 2, and p itself is out
+        ((3,), 2, [(0, 2, 1.0)], "source 3 outside 0..2"),
+        ((0,), 3, [(0, 2, 1.0)], "sink 3 outside 0..2"),
+        ((0,), 2, [(0, 1, 1.0), (3, 2, 1.0)], "edge (3,2) references a vertex outside 0..2"),
+        ((0,), 2, [(0, 1, 1.0), (1, 1, 1.0)], "self-loop at computation vertex 1"),
+    ])
+    def test_ids_outside_the_graph(self, sources, sink, edges, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build_computation(3, edges, sources, sink, np.zeros((3, 2)))
+
     def test_non_finite_sizes_and_processing(self):
         for x in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="non-finite weight"):
                 build_computation(2, [(0, 1, x)], (0,), 1, [[0.0], [1.0]])
             with pytest.raises(ValidationError, match="non-finite entries"):
                 build_computation(2, [(0, 1, 1.0)], (0,), 1, [[0.0], [x]])
-        with pytest.raises(NegativeWeight):
+        with pytest.raises(ValidationError, match=r"^edge \(0,1\) has negative weight -inf$"):
             build_computation(2, [(0, 1, float("-inf"))], (0,), 1, [[0.0], [1.0]])
 
 

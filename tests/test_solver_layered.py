@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import load_fixture, place_roles, random_connected_network
-from dagplace.errors import BudgetExceeded, DanglingEdit, ValidationError, WidthExceeded
+from dagplace.errors import BudgetExceeded, PreconditionError, ValidationError
 from dagplace.harness import random_layered_cg
 from dagplace.metrics import embedding_cost
 from dagplace.model import (
@@ -187,7 +187,8 @@ class TestPerturbations:
         cg2 = build_computation(
             9, list(cg.edges) + [(7, 8, 1.0), (5, 7, 1.0)], cg.sources, cg.sink, proc2
         )
-        with pytest.raises(DanglingEdit):
+        with pytest.raises(PreconditionError,
+                           match=r"^edge \(7,8\) has no endpoint in the original graph$"):
             apply_perturbations(state, cg2, [((7, 8, 1.0), 3), ((5, 7, 1.0), 3)], dm)
 
     def test_new_vertex_without_an_edit_is_dangling_with_no_edits_too(self):
@@ -196,8 +197,26 @@ class TestPerturbations:
         proc2[:7] = cg.processing
         with pytest.warns(UserWarning, match="vertex 7 has no inputs"):
             cg2 = build_computation(8, list(cg.edges), cg.sources, cg.sink, proc2)
-        with pytest.raises(DanglingEdit, match="without any edit naming it"):
+        with pytest.raises(PreconditionError,
+                           match=r"^a new vertex was added without any edit naming it$"):
             apply_perturbations(state, cg2, [], dm)
+
+    def test_edit_layers_must_fit_the_layering(self):
+        # prodsum's layers are (1, 1, 1, 2, 2, 3, 4)
+        cg, net, dm, (_, _, state) = solve_prodsum()
+        proc2 = np.zeros((8, net.n))
+        proc2[:7] = cg.processing
+        cg2 = build_computation(
+            8, list(cg.edges) + [(3, 7, 1.0), (7, 5, 1.0)], cg.sources, cg.sink, proc2
+        )
+        with pytest.raises(PreconditionError, match=r"^conflicting layers for new vertex 7$"):
+            apply_perturbations(state, cg2, [((3, 7, 1.0), 2), ((7, 5, 1.0), 3)], dm)
+        cg3 = build_computation(
+            7, list(cg.edges) + [(0, 4, 1.0)], cg.sources, cg.sink, cg.processing
+        )
+        with pytest.raises(PreconditionError,
+                           match=r"^edit layer 3 does not touch edge \(0,4\)$"):
+            apply_perturbations(state, cg3, [((0, 4, 1.0), 3)], dm)
 
     def test_width_guard(self):
         cg, net, dm, (_, _, state) = solve_prodsum()
@@ -206,7 +225,8 @@ class TestPerturbations:
         proc2[:7] = cg.processing
         edges2 = list(cg.edges) + [(0, 7, 1.0), (1, 8, 1.0)]
         cg2 = build_computation(9, edges2, cg.sources, cg.sink, proc2)
-        with pytest.raises(WidthExceeded):
+        with pytest.raises(PreconditionError,
+                           match=r"^a layer of 4 vertices exceeds the original bound k=3$"):
             apply_perturbations(
                 state, cg2, [((0, 7, 1.0), 2), ((1, 8, 1.0), 2)], dm
             )

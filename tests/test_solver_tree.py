@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture, place_roles, random_connected_network, random_tree_cg
 import dagplace.solver_tree
-from dagplace.errors import NotATree, PreconditionViolated
+from dagplace.errors import PreconditionError
 from dagplace.metrics import embedding_delay
 from dagplace.model import apsp, build_computation, build_network
 from dagplace.oracle import brute_force_min_delay
@@ -31,7 +31,8 @@ def test_chain_on_path_network():
 
 def test_rejects_non_tree():
     cg, net = load_fixture("prodsum")
-    with pytest.raises(NotATree):
+    with pytest.raises(PreconditionError,
+                       match=r"^every non-sink vertex must have out-degree exactly 1$"):
         min_delay_tree(cg, net, apsp(net))
 
 
@@ -161,13 +162,15 @@ class TestCollapse:
 
     def test_precondition_enforced(self):
         cg, net = load_fixture("prodsum")
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionError,
+                           match=r"^collapse requires zero processing everywhere$"):
             min_delay_collapse(cg, net, apsp(net))
         weighted = build_computation(
             2, [(0, 1, 2.0)], (0,), 1, np.zeros((2, 2))
         )
         net2 = build_network(2, [(0, 1, 1.0)], sources=(0,), sink=1)
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionError,
+                           match=r"^collapse requires unit computation-edge weights$"):
             min_delay_collapse(weighted, net2, apsp(net2))
 
     def test_equals_oracle_and_tree_solver(self):

@@ -16,7 +16,7 @@ from conftest import (
     reference_min_fill,
     reference_solve_bags,
 )
-from dagplace.errors import BudgetExceeded, InvalidDecomposition
+from dagplace.errors import BudgetExceeded, PreconditionError
 from dagplace.harness import random_layered_cg
 from dagplace.metrics import embedding_cost
 from dagplace.model import (
@@ -107,7 +107,7 @@ class TestMinFill:
                     try:
                         _rooted(tri, TreeDecomposition(bags, tree))
                         found = True
-                    except InvalidDecomposition:
+                    except PreconditionError:
                         pass
         assert not found
 
@@ -417,25 +417,38 @@ class TestDecompositionValidation:
     def test_missing_edge_coverage(self):
         cg, net = load_fixture("prodsum")
         td = TreeDecomposition([(0, 1, 2, 3, 4), (5, 6)], [(0, 1)])
-        with pytest.raises(InvalidDecomposition, match=r"^edge \(3,5\) is in no bag$"):
+        with pytest.raises(PreconditionError, match=r"^edge \(3,5\) is in no bag$"):
             _rooted(cg, td)
         # the solve runs the same check
-        with pytest.raises(InvalidDecomposition, match=r"^edge \(3,5\) is in no bag$"):
+        with pytest.raises(PreconditionError, match=r"^edge \(3,5\) is in no bag$"):
             min_cost_treewidth(cg, td, net, apsp(net))
 
     def test_disconnected_occurrence(self):
         cg = build_computation(
             3, [(0, 1, 1.0), (1, 2, 1.0)], (0,), 2, np.zeros((3, 2))
         )
-        with pytest.raises(InvalidDecomposition):
+        with pytest.raises(PreconditionError,
+                           match=r"^bags containing vertex 0 are not connected$"):
             _rooted(cg, TreeDecomposition([(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)]))
 
     def test_not_a_tree(self):
         cg = build_computation(
             3, [(0, 1, 1.0), (1, 2, 1.0)], (0,), 2, np.zeros((3, 2))
         )
-        with pytest.raises(InvalidDecomposition):
+        with pytest.raises(PreconditionError, match=r"^2 bags need 1 tree edges$"):
             _rooted(cg, TreeDecomposition([(0, 1), (1, 2)], []))
+
+    @pytest.mark.parametrize("bags, tree_edges, message", [
+        ([], [], "^no bags$"),
+        # three edges for four bags, but they close a cycle and leave bag 3 out
+        ([(0, 1), (1, 2), (0, 2), (2,)], [(0, 1), (1, 2), (2, 0)], "^bag tree is not connected$"),
+    ])
+    def test_bag_tree_shape(self, bags, tree_edges, message):
+        cg = build_computation(
+            3, [(0, 1, 1.0), (1, 2, 1.0)], (0,), 2, np.zeros((3, 2))
+        )
+        with pytest.raises(PreconditionError, match=message):
+            _rooted(cg, TreeDecomposition(bags, tree_edges))
 
     def test_every_emitted_decomposition_is_valid(self):
         rng = np.random.default_rng(31)

@@ -51,3 +51,27 @@ def test_every_import_is_used():
             if name not in read
         ]
     assert unused == []
+
+
+def test_every_error_class_is_a_family_or_is_caught():
+    """``errors.py`` defines ``DagplaceError``, its direct subclasses (the
+    families a caller tells apart by exit code) and only those deeper classes
+    that an ``except`` clause in the package names: a subclass that no code
+    catches changes no behaviour, only the name in a traceback."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    bases = {
+        node.name: [ast.unparse(b) for b in node.bases]
+        for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    caught = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {ast.unparse(t).rpartition(".")[2] for t in named}
+    assert "DagplaceError" in bases and len(bases) > 3
+    stray = [
+        name for name, base in bases.items()
+        if name != "DagplaceError" and base != ["DagplaceError"] and name not in caught
+    ]
+    assert stray == []
